@@ -14,7 +14,7 @@ import math
 import sys
 
 from .congruence import coset_table, rho
-from .exact_core import ExtendedRational, IntMatrix2
+from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME
 from .farey import farey_sequence, lns, m_of_q
 from .hecke import gen_sm, h_tilde, sigma, vector_hecke
 from .numeric import (
@@ -25,9 +25,7 @@ from .numeric import (
     r_zeta,
     three_term_residual,
 )
-from .verify import run_all_checks
-
-_WORD_LETTERS = {"T": IntMatrix2(1, 1, 0, 1), "S": IntMatrix2(0, -1, 1, 0)}
+from .verify import run_all_checks, sample_points
 
 
 class UsageError(ValueError):
@@ -52,39 +50,36 @@ def _parse_matrix(text):
 
 
 def _parse_complex(text):
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
-        pass
-    raise UsageError("spectral parameter must be given as re or re,im")
+        parts = []
+    if len(parts) not in (1, 2):
+        raise UsageError("spectral parameter must be given as re or re,im")
+    if not all(math.isfinite(p) for p in parts):
+        raise UsageError("spectral parameter must be finite, got %r" % text)
+    return complex(*parts)
+
+
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return int(text)
 
 
 def _parse_word(text):
     """A product of the generators written as a string of T, S and T'."""
-    from .exact_core import I
-
     g = I
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch == "T" and i + 1 < len(text) and text[i + 1] == "'":
-            g = g * IntMatrix2(1, 0, 1, 1)
-            i += 2
-            continue
-        if ch in _WORD_LETTERS:
-            g = g * _WORD_LETTERS[ch]
-            i += 1
-            continue
-        raise UsageError("word may only contain T, S and T' (got %r)" % ch)
+        for letter, mat in (("T'", T_PRIME), ("T", T), ("S", S)):
+            if text.startswith(letter, i):
+                g = g * mat
+                i += len(letter)
+                break
+        else:
+            raise UsageError("word may only contain T, S and T' (got %r)" % text[i])
     return g
-
-
-def _sample_points(points):
-    return [0.1 + 9.9 * k / max(1, points - 1) for k in range(points)]
 
 
 def _flat_rows(mat):
@@ -97,7 +92,7 @@ def _tsv_formal_sum(total):
 
 def _render(payload, tsv_rows, fmt):
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return "\n".join("\t".join(row) for row in tsv_rows)
 
 
@@ -153,11 +148,12 @@ def _cmd_hecke_scalar(args):
 
 def _cmd_hecke_vector(args):
     op = vector_hecke(coset_table(args.n), args.m)
-    rows = []
-    for j in range(op.mu):
-        for i in range(op.mu):
-            for coeff, mat in op.entries[j][i]:
-                rows.append([str(j), str(i), str(coeff)] + _flat_rows(mat))
+    rows = [
+        [str(j), str(i), "1"] + _flat_rows(mat)
+        for j, row in enumerate(op.entries)
+        for i, cell in enumerate(row)
+        for mat in cell
+    ]
     return op.to_json_obj(), rows, 0
 
 
@@ -173,7 +169,7 @@ def _cmd_check_three_term(args):
     image = hecke_image(op, constant_lift(lambda z: 1.0 / z, table.mu), s)
     worst = max(
         abs(x)
-        for zeta in _sample_points(args.points)
+        for zeta in sample_points(args.points)
         for x in three_term_residual(image, table, s, zeta)
     )
     payload = {"max_residual": worst, "points": args.points}
@@ -183,6 +179,8 @@ def _cmd_check_three_term(args):
 
 def _cmd_check_laplace(args):
     s = _parse_complex(args.s)
+    if args.h == args.h2:
+        raise UsageError("--h and --h2 must differ: the order is read from their ratio")
     zeta = 0.7
     f = lambda z: r_zeta(z, zeta) ** s
     worst_coarse = worst_fine = 0.0
@@ -268,12 +266,7 @@ def build_parser():
     add("mq", _cmd_mq, q={"required": True})
     add("cosets", _cmd_cosets, n=n_flag)
     add("rho", _cmd_rho, n=n_flag, word={"required": True})
-    p_sigma = sub.add_parser("sigma")
-    p_sigma.add_argument("--g", required=True)
-    p_sigma.add_argument("--A", required=True)
-    p_sigma.add_argument("--format", choices=["json", "tsv"], default="json")
-    p_sigma.add_argument("--out", default=None)
-    p_sigma.set_defaults(func=_cmd_sigma)
+    add("sigma", _cmd_sigma, g={"required": True}, A={"required": True})
     add("hecke-scalar", _cmd_hecke_scalar, m=m_flag)
     add("hecke-vector", _cmd_hecke_vector, n=n_flag, m=m_flag)
     add("sm", _cmd_sm, m=m_flag)
@@ -283,7 +276,7 @@ def build_parser():
         n=n_flag,
         m=m_flag,
         s={"default": "1,0"},
-        points={"type": int, "default": 100},
+        points={"type": _positive_int, "default": 100},
         tolerance={"type": float, "default": 1e-9},
     )
     add(
@@ -292,15 +285,15 @@ def build_parser():
         s={"default": "0.9,0"},
         h={"type": float, "default": 1e-2},
         h2={"type": float, "default": 1e-3},
-        points={"type": int, "default": 100},
+        points={"type": _positive_int, "default": 100},
         **{"order-window": {"type": float, "dest": "order_window", "default": 0.4}},
     )
     add(
         "check-eta-loop",
         _cmd_check_eta_loop,
         s={"default": "0.8,0"},
-        panels={"type": int, "default": 32},
-        doublings={"type": int, "default": 2},
+        panels={"type": _positive_int, "default": 32},
+        doublings={"type": _positive_int, "default": 2},
         **{"min-ratio": {"type": float, "dest": "min_ratio", "default": 3.0}},
     )
     add(
@@ -309,7 +302,7 @@ def build_parser():
         n=n_flag,
         m=m_flag,
         s={"default": "1,0"},
-        points={"type": int, "default": 25},
+        points={"type": _positive_int, "default": 25},
         tolerance={"type": float, "default": 1e-9},
     )
     return parser
@@ -323,13 +316,11 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         payload, tsv_rows, code = args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        text = _render(payload, tsv_rows, args.format)
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    _emit(_render(payload, tsv_rows, args.format), args.out)
+    _emit(text, args.out)
     return code
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact_core import I, IntMatrix2, xgcd
+from .exact_core import Frozen, I, IntMatrix2, xgcd
 
 __all__ = [
     "gamma0_contains",
@@ -108,7 +108,7 @@ def _minimal_rep(n, key, key_of):
     return IntMatrix2(*best[1])
 
 
-class CosetTable:
+class CosetTable(Frozen):
     """Representatives and membership index for the right cosets of
     Gamma0(n) in SL(2,Z).
 
@@ -149,9 +149,6 @@ class CosetTable:
             {key_of[(g.c % n, g.d % n)]: i for i, g in enumerate(reps)},
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CosetTable is immutable")
-
     def index(self, g):
         """The unique j with g in Gamma0(n) * reps[j]; accepts det = +-1."""
         if g.det not in (1, -1):
@@ -171,7 +168,7 @@ def coset_table(n):
     return CosetTable(n)
 
 
-class PermutationMatrix:
+class PermutationMatrix(Frozen):
     """A mu x mu permutation matrix stored by its image array: row i has
     its single 1 in column image[i]."""
 
@@ -182,9 +179,6 @@ class PermutationMatrix:
         if sorted(image) != list(range(len(image))):
             raise ValueError("not a permutation of 0..%d" % (len(image) - 1))
         object.__setattr__(self, "image", image)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PermutationMatrix is immutable")
 
     @classmethod
     def identity(cls, size):

@@ -40,8 +40,18 @@ def xgcd(a, b):
     return a, x0, y0
 
 
+class Frozen:
+    """Base of the package's immutable values: __init__ sets each slot once
+    with object.__setattr__, and every later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
 @total_ordering
-class ExtendedRational:
+class ExtendedRational(Frozen):
     """A rational num/den in lowest terms with den >= 0, including the two
     signed infinities 1/0 and -1/0.
 
@@ -65,9 +75,6 @@ class ExtendedRational:
             den //= g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtendedRational is immutable")
 
     @classmethod
     def from_string(cls, text):
@@ -117,7 +124,7 @@ ZERO = ExtendedRational(0, 1)
 ONE = ExtendedRational(1, 1)
 
 
-class IntMatrix2:
+class IntMatrix2(Frozen):
     """An immutable 2x2 integer matrix (a b; c d)."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -127,9 +134,6 @@ class IntMatrix2:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix2 is immutable")
 
     @property
     def det(self):
@@ -207,7 +211,7 @@ S = IntMatrix2(0, -1, 1, 0)
 T_PRIME = IntMatrix2(1, 0, 1, 1)
 
 
-class FormalSum:
+class FormalSum(Frozen):
     """A finite integer-coefficient combination of IntMatrix2 values.
 
     Terms with equal matrices are merged, zero coefficients are dropped,
@@ -229,9 +233,6 @@ class FormalSum:
             if coeff != 0
         )
         object.__setattr__(self, "terms", canonical)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalSum is immutable")
 
     @classmethod
     def from_matrices(cls, mats):

@@ -15,6 +15,7 @@ from functools import lru_cache
 from .exact_core import (
     ExtendedRational,
     FormalSum,
+    Frozen,
     IntMatrix2,
     MINUS_INFINITY,
     INFINITY,
@@ -68,7 +69,7 @@ def left_neighbor(q):
     return seq[bisect_left(seq, q) - 1]
 
 
-class LeftNeighborSequence:
+class LeftNeighborSequence(Frozen):
     """The ascending chain -1/0 = y_0 < y_1 < ... < y_L = q obtained by
     iterating the left-neighbor map from q down to -1/0."""
 
@@ -76,9 +77,6 @@ class LeftNeighborSequence:
 
     def __init__(self, entries):
         object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LeftNeighborSequence is immutable")
 
     @property
     def steps(self):

@@ -6,8 +6,9 @@ assembly of the vector-valued Hecke operator matrix for Gamma0(n).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
-from .exact_core import ExtendedRational, FormalSum, IntMatrix2, xgcd
+from .exact_core import ExtendedRational, FormalSum, Frozen, IntMatrix2, xgcd
 from .farey import m_of_q
 
 __all__ = [
@@ -120,28 +121,9 @@ def sigma(g, a_mat):
     return xm_representative(a_mat * g)
 
 
-class HeckeCosetRecord:
-    """One step of coset bookkeeping: A * reps[j] lies in
-    Gamma0(n) * reps[phi] * sigma with sigma in X_m."""
-
-    __slots__ = ("a_mat", "j", "phi", "sigma")
-
-    def __init__(self, a_mat, j, phi, sigma):
-        object.__setattr__(self, "a_mat", a_mat)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "sigma", sigma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeckeCosetRecord is immutable")
-
-    def __repr__(self):
-        return "HeckeCosetRecord(a_mat=%r, j=%d, phi=%d, sigma=%r)" % (
-            self.a_mat,
-            self.j,
-            self.phi,
-            self.sigma,
-        )
+HeckeCosetRecord = namedtuple("HeckeCosetRecord", "a_mat j phi sigma")
+HeckeCosetRecord.__doc__ = """One step of coset bookkeeping: A * reps[j] lies in
+Gamma0(n) * reps[phi] * sigma with sigma in X_m."""
 
 
 def _exact_divide(g, m):
@@ -213,70 +195,109 @@ def scalar_hecke_sum(m):
     return FormalSum.from_matrices(gen_xm(m))
 
 
-class HeckeOperatorMatrix:
-    """The mu x mu matrix of formal sums representing one Hecke operator on
-    vector-valued period functions for Gamma0(n); all stored matrices have
-    determinant m and positive-dominant entries (a' > c' >= 0, d' > b' >= 0).
+def _column_maps(mu, placements):
+    """Collect (B, j, i) placements into one length-mu column map per B;
+    a B that reaches row j twice raises ArithmeticError."""
+    maps = {}
+    for mat, j, i in placements:
+        image = maps.get(mat)
+        if image is None:
+            image = maps[mat] = [None] * mu
+        if image[j] is not None:
+            raise ArithmeticError("%r reaches row %d twice" % (mat, j))
+        image[j] = i
+    return list(maps.items())
+
+
+class HeckeOperatorMatrix(Frozen):
+    """One Hecke operator on vector-valued period functions for Gamma0(n),
+    stored as one column map per matrix B:
+
+        (T psi)_j = sum over (B, f_B) in columns of psi_{f_B[j]} | B.
+
+    Every B has determinant m and positive-dominant entries (a > c >= 0,
+    d > b >= 0), columns is sorted by the key of B, and f_B is a tuple of
+    mu column indices with None for the rows B does not reach.  The dense
+    form (see entries) is accepted in place of columns.
     """
 
-    __slots__ = ("n", "m", "mu", "entries")
+    __slots__ = ("n", "m", "mu", "columns")
 
-    def __init__(self, n, m, entries):
-        entries = tuple(tuple(row) for row in entries)
-        mu = len(entries)
-        for row in entries:
-            if len(row) != mu:
-                raise ValueError("entries must form a square array")
-            for cell in row:
-                for _, mat in cell:
-                    if not in_sm(mat, m):
-                        raise ValueError(
-                            "matrix %r violates the determinant-%d entry conditions" % (mat, m)
-                        )
+    def __init__(self, n, m, columns):
+        columns = list(columns)
+        if columns and not isinstance(columns[0][0], IntMatrix2):
+            cells = columns
+            columns = _column_maps(
+                len(cells),
+                (
+                    (mat, j, i)
+                    for j, row in enumerate(cells)
+                    for i, cell in enumerate(row)
+                    for mat in cell
+                ),
+            )
+        if not columns:
+            raise ValueError("an operator needs at least one matrix")
+        mu = len(columns[0][1])
+        valid = set(range(mu)) | {None}
+        maps = {}
+        for mat, image in columns:
+            if not in_sm(mat, m):
+                raise ValueError("matrix %r breaks the determinant-%d entry conditions" % (mat, m))
+            if mat in maps or len(image) != mu or any(i not in valid for i in image):
+                raise ValueError("matrix %r needs one map from %d rows to columns" % (mat, mu))
+            maps[mat] = tuple(image)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "columns", tuple(sorted(maps.items(), key=lambda kv: kv[0].key)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HeckeOperatorMatrix is immutable")
+    def _dense(self, term):
+        """mu x mu lists whose cell (j, i) holds term(B) for each B with
+        f_B[j] == i, in canonical order."""
+        cells = [[[] for _ in range(self.mu)] for _ in range(self.mu)]
+        for mat, image in self.columns:
+            for j, i in enumerate(image):
+                if i is not None:
+                    cells[j][i].append(term(mat))
+        return cells
 
-    def entry(self, j, i):
-        return self.entries[j][i]
+    @property
+    def entries(self):
+        """The dense mu x mu view, rebuilt on every access: entries[j][i]
+        lists, in canonical order, the matrices B with f_B[j] == i."""
+        return self._dense(lambda mat: mat)
 
     def row_sum(self, j):
         """The formal sum obtained by forgetting the column bookkeeping."""
-        total = FormalSum()
-        for cell in self.entries[j]:
-            total = total + cell
-        return total
+        return FormalSum.from_matrices(mat for mat, image in self.columns if image[j] is not None)
 
     def to_json_obj(self):
         return {
             "n": self.n,
             "m": self.m,
             "mu": self.mu,
-            "entries": [[cell.to_json_obj() for cell in row] for row in self.entries],
+            "entries": self._dense(lambda mat: {"coeff": 1, "matrix": mat.rows()}),
         }
 
     def __eq__(self, other):
         if not isinstance(other, HeckeOperatorMatrix):
             return NotImplemented
-        return (self.n, self.m, self.entries) == (other.n, other.m, other.entries)
+        return (self.n, self.m, self.columns) == (other.n, other.m, other.columns)
 
     def __repr__(self):
         return "HeckeOperatorMatrix(n=%d, m=%d, mu=%d)" % (self.n, self.m, self.mu)
 
 
 def vector_hecke(table, m):
-    """Assemble the m-th Hecke operator matrix for the given coset table,
-    m prime.
+    """Assemble the m-th Hecke operator for the given coset table, m prime.
 
     For each source index j and each A in the defining set (all of X_m, or
     X_m minus (m 0; 0 1) when m divides the level), the chain sum of
-    sigma_{reps[j]}(A) applied to 0 is expanded, and each chain matrix B
-    contributes B * sigma to the entry in the column selected by the
-    permutation of the chain matrix's inverse acting on the phi-row.
+    sigma = sigma_{reps[j]}(A) applied to 0 is expanded, and each chain
+    matrix B sends row j of the map of B * sigma to the coset of
+    reps[phi] * B^-1.  A chain coefficient other than 1, or a (B * sigma, j)
+    pair met twice, raises ArithmeticError.
     """
     if not is_prime(m):
         raise ValueError("vector Hecke operators are defined for prime m only")
@@ -288,20 +309,16 @@ def vector_hecke(table, m):
         a_set = [a for a in gen_xm(m) if a != skip]
     else:
         raise ValueError("gcd(%d, %d) must be 1 or %d" % (m, table.n, m))
-    mu = table.mu
-    cells = [[{} for _ in range(mu)] for _ in range(mu)]
-    for j in range(mu):
-        for a_mat in a_set:
-            record = phi(table, a_mat, j)
-            s = record.sigma
-            chain = m_of_q(ExtendedRational(s.b, s.d))
-            target_rep = table.reps[record.phi]
-            for coeff, link in chain:
-                i = table.index(target_rep * link.inverse())
-                product = link * s
-                cell = cells[j][i]
-                cell[product] = cell.get(product, 0) + coeff
-    entries = [
-        [FormalSum((c, mat) for mat, c in cell.items()) for cell in row] for row in cells
-    ]
-    return HeckeOperatorMatrix(table.n, m, entries)
+
+    def placements():
+        for j in range(table.mu):
+            for a_mat in a_set:
+                record = phi(table, a_mat, j)
+                s = record.sigma
+                target_rep = table.reps[record.phi]
+                for coeff, link in m_of_q(ExtendedRational(s.b, s.d)):
+                    if coeff != 1:
+                        raise ArithmeticError("chain matrix %r has coefficient %d" % (link, coeff))
+                    yield link * s, j, table.index(target_rep * link.inverse())
+
+    return HeckeOperatorMatrix(table.n, m, _column_maps(table.mu, placements()))

@@ -30,9 +30,9 @@ __all__ = [
 _TRANSFER_PERM_WORD = IntMatrix2(-1, 1, 1, 0)
 
 
-def slash_eval(f, mat, s, zeta):
-    """(det)^s (c*zeta+d)^(-2s) f((a*zeta+b)/(c*zeta+d)) for a matrix with
-    nonnegative entries, positive determinant, and zeta > 0."""
+def _slash_factor(mat, s, zeta):
+    """The pair (det^s (c*zeta+d)^(-2s), (a*zeta+b)/(c*zeta+d)) for a
+    matrix with nonnegative entries, positive determinant, and zeta > 0."""
     det = mat.det
     if det <= 0:
         raise ValueError("slash action needs positive determinant, got %d" % det)
@@ -41,7 +41,14 @@ def slash_eval(f, mat, s, zeta):
     if not zeta > 0:
         raise ValueError("slash action is evaluated on (0, infinity)")
     denom = mat.c * zeta + mat.d
-    return det ** s * denom ** (-2 * s) * f((mat.a * zeta + mat.b) / denom)
+    return det ** s * denom ** (-2 * s), (mat.a * zeta + mat.b) / denom
+
+
+def slash_eval(f, mat, s, zeta):
+    """(det)^s (c*zeta+d)^(-2s) f((a*zeta+b)/(c*zeta+d)) for a matrix with
+    nonnegative entries, positive determinant, and zeta > 0."""
+    factor, point = _slash_factor(mat, s, zeta)
+    return factor * f(point)
 
 
 def constant_lift(f, mu):
@@ -141,23 +148,15 @@ def eta_line_integral(u, v, path, steps=10000, fd_step=1e-3):
 
 
 def apply_hecke_numeric(op, psi, s, zeta):
-    """Evaluate the operator matrix on a vector handle at zeta > 0:
-    component j sums coeff * (psi_i slashed by B) over every term (coeff, B)
-    of entry (j, i)."""
-    values = {}
-
-    def component(i):
-        if i not in values:
-            values[i] = lambda t, idx=i: psi(t)[idx]
-        return values[i]
-
-    out = []
-    for j in range(op.mu):
-        acc = 0j
-        for i in range(op.mu):
-            for coeff, mat in op.entries[j][i]:
-                acc += coeff * slash_eval(component(i), mat, s, zeta)
-        out.append(acc)
+    """Evaluate the operator on a vector handle at zeta > 0: psi is slashed
+    once by each matrix B, and row j gathers component f_B[j] of it."""
+    out = [0j] * op.mu
+    for mat, image in op.columns:
+        factor, point = _slash_factor(mat, s, zeta)
+        values = psi(point)
+        for j, i in enumerate(image):
+            if i is not None:
+                out[j] += factor * values[i]
     return out
 
 

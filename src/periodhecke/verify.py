@@ -15,7 +15,7 @@ from .farey import farey_sequence, left_neighbor, level
 from .hecke import divisors, gen_sm, gen_xm, h_tilde, in_sm, phi, sigma, vector_hecke
 from .numeric import constant_lift, hecke_image, three_term_residual, transfer_residual
 
-__all__ = ["run_all_checks"]
+__all__ = ["run_all_checks", "sample_points"]
 
 
 def _random_word(rng, max_len=6):
@@ -36,7 +36,10 @@ def _random_gamma0(rng, n):
         return IntMatrix2(x + t * c, y + t * d, c, d)
 
 
-def _sample_points(points):
+def sample_points(points):
+    """`points` evenly spaced abscissae from 0.1 to 10 for the residual checks."""
+    if points < 1:
+        raise ValueError("residual checks need at least one sample point")
     return [0.1 + 9.9 * k / max(1, points - 1) for k in range(points)]
 
 
@@ -109,21 +112,16 @@ def run_all_checks(n, m, s=1.0, points=25, tolerance=1e-9, seed=0):
     checks.append(("coset-record-membership", ok, "all (A, j) pairs"))
 
     op = vector_hecke(table, m)
-    ok = all(
-        mat.det == m and in_sm(mat, m)
-        for row in op.entries
-        for cell in row
-        for _, mat in cell
-    )
+    ok = all(mat.det == m and in_sm(mat, m) for mat, _ in op.columns)
     checks.append(("operator-entry-conditions", ok, "determinant and dominance"))
 
     if n == 1:
         checks.append(
-            ("level-one-reduction", op.entries[0][0] == h_tilde(m), "single entry vs scalar sum")
+            ("level-one-reduction", op.row_sum(0) == h_tilde(m), "single entry vs scalar sum")
         )
 
     psi = constant_lift(lambda z: 1.0 / z, table.mu)
-    zetas = _sample_points(points)
+    zetas = sample_points(points)
     worst_in = max(
         abs(x) for zeta in zetas for x in three_term_residual(psi, table, s, zeta)
     )

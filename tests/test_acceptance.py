@@ -20,7 +20,6 @@ from periodhecke.exact_core import (
     MINUS_INFINITY,
     S,
     T,
-    T_PRIME,
     xgcd,
 )
 from periodhecke.farey import farey_sequence, left_neighbor, level
@@ -42,6 +41,7 @@ from periodhecke.numeric import (
     three_term_residual,
     transfer_residual,
 )
+from periodhecke.verify import _random_word
 
 PASS_LINE = "ACCEPTANCE %2d PASS - %s"
 
@@ -136,21 +136,12 @@ def test_criterion_05_entry_conditions():
         table = coset_table(n)
         for m in (2, 3, 5, 7):
             op = vector_hecke(table, m)
-            for row in op.entries:
-                for cell in row:
-                    for _, mat in cell:
-                        assert mat.det == m
-                        assert mat.a > mat.c >= 0
-                        assert mat.d > mat.b >= 0
-                        checked += 1
+            for mat, _ in op.columns:
+                assert mat.det == m
+                assert mat.a > mat.c >= 0
+                assert mat.d > mat.b >= 0
+                checked += 1
     _report(5, "nonnegativity and dominance hold for all entries (%d matrices)" % checked)
-
-
-def _random_word(rng, max_len=6):
-    g = I
-    for _ in range(rng.randint(0, max_len)):
-        g = g * rng.choice([T, S, T_PRIME])
-    return g
 
 
 def _random_gamma0(rng, n):
@@ -213,7 +204,7 @@ def test_criterion_08_level_one_reduction():
     for m in (2, 3, 5, 7):
         op = vector_hecke(coset_table(1), m)
         assert op.mu == 1
-        assert op.entries[0][0] == h_tilde(m)
+        assert op.columns == tuple((mat, (0,)) for _, mat in h_tilde(m))
     _report(8, "level-one operator reduces to the scalar sum for m in {2,3,5,7}")
 
 

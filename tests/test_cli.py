@@ -133,3 +133,48 @@ def test_verify_all_passes_reference_instance(capsys):
     names = {c["name"] for c in payload["checks"]}
     assert "level-one-reduction" in names
     assert "transfer-equation-signs" in names
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check-eta-loop", "--panels", "8", "--doublings", "0"], "--doublings"),
+        (["check-three-term", "--n", "2", "--m", "3", "--points", "0"], "--points"),
+        (["verify-all", "--n", "2", "--m", "3", "--points", "0"], "--points"),
+        (["check-laplace", "--points", "0"], "--points"),
+        (["check-laplace", "--h", "1e-3", "--h2", "1e-3"], "--h and --h2 must differ"),
+        (["check-three-term", "--n", "2", "--m", "3", "--s", "nan"], "must be finite"),
+        (["verify-all", "--n", "2", "--m", "3", "--s", "1,inf"], "must be finite"),
+    ],
+    ids=[
+        "no-doublings",
+        "no-points",
+        "verify-no-points",
+        "laplace-no-points",
+        "equal-steps",
+        "nan-s",
+        "inf-s",
+    ],
+)
+def test_checks_without_evidence_exit_two(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_non_finite_payload_is_not_printed_as_json(capsys, monkeypatch):
+    from periodhecke import cli
+
+    monkeypatch.setattr(cli, "_cmd_farey", lambda args: ({"x": float("nan")}, [["nan"]], 0))
+    assert main(["farey", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "JSON compliant" in captured.err
+
+
+def test_run_all_checks_needs_a_sample_point():
+    from periodhecke.verify import run_all_checks
+
+    with pytest.raises(ValueError, match="sample point"):
+        run_all_checks(2, 3, points=0)

@@ -6,6 +6,7 @@ import pytest
 from periodhecke.congruence import coset_table, gamma0_contains
 from periodhecke.exact_core import FormalSum, I, IntMatrix2, S, T
 from periodhecke.hecke import (
+    HeckeOperatorMatrix,
     divisors,
     gen_sm,
     gen_xm,
@@ -230,19 +231,17 @@ def test_h_tilde_equals_sm_enumeration(m):
 def test_vector_hecke_level_one_reduction(m):
     op = vector_hecke(coset_table(1), m)
     assert op.mu == 1
-    assert op.entries[0][0] == h_tilde(m)
+    assert op.columns == tuple((mat, (0,)) for _, mat in h_tilde(m))
     assert op.row_sum(0) == h_tilde(m)
 
 
 def test_vector_hecke_entry_conditions():
     op = vector_hecke(coset_table(2), 3)
     assert op.mu == 3
-    for row in op.entries:
-        for cell in row:
-            for coeff, mat in cell:
-                assert coeff >= 1
-                assert mat.det == 3
-                assert in_sm(mat, 3)
+    for mat, image in op.columns:
+        assert len(image) == 3
+        assert mat.det == 3
+        assert in_sm(mat, 3)
 
 
 def test_vector_hecke_a_set_drops_one_matrix_when_m_divides_n():
@@ -250,11 +249,11 @@ def test_vector_hecke_a_set_drops_one_matrix_when_m_divides_n():
     # seeds remain.  Row 0 (identity coset) sees sigma_I(A) = A, whose chain
     # lengths are 1 for (1 0; 0 2) and 2 for (1 1; 0 2): 3 matrices total.
     op = vector_hecke(coset_table(2), 2)
-    row0_count = sum(coeff for cell in op.entries[0] for coeff, _ in cell)
+    row0_count = sum(image[0] is not None for _, image in op.columns)
     assert row0_count == 3
     # With the full X_2 the count would be 4; at n = 3 (coprime case) it is.
     op_coprime = vector_hecke(coset_table(3), 2)
-    row0_coprime = sum(coeff for cell in op_coprime.entries[0] for coeff, _ in cell)
+    row0_coprime = sum(image[0] is not None for _, image in op_coprime.columns)
     assert row0_coprime == 4
 
 
@@ -290,3 +289,39 @@ def test_gcd_guard_is_vacuous_for_primes():
     for n in (2, 3, 4, 6):
         for m in (2, 3, 5, 7):
             assert math.gcd(m, n) in (1, m)
+
+
+@pytest.mark.parametrize(
+    "n,m", [(1, 5), (2, 2), (2, 3), (4, 3), (5, 5), (6, 3), (6, 5), (9, 2), (9, 3), (10, 7)]
+)
+def test_vector_hecke_column_maps_cover_sm(n, m):
+    # The support is exactly S_m; each map is a permutation of the rows when
+    # gcd(m, n) = 1, and leaves some rows unreached when m | n.
+    table = coset_table(n)
+    op = vector_hecke(table, m)
+    assert [mat for mat, _ in op.columns] == gen_sm(m)
+    for _, image in op.columns:
+        if math.gcd(m, n) == 1:
+            assert sorted(image) == list(range(table.mu))
+    if n > 1 and n % m == 0:
+        assert any(None in image for _, image in op.columns)
+
+
+def test_hecke_operator_matrix_rejects_bad_column_maps():
+    with pytest.raises(ValueError):
+        HeckeOperatorMatrix(1, 2, [(IntMatrix2(1, 0, 0, 3), (0,))])  # wrong determinant
+    with pytest.raises(ValueError):
+        HeckeOperatorMatrix(2, 2, [(IntMatrix2(1, 0, 0, 2), (0, 3, None))])  # column out of range
+    with pytest.raises(ValueError):  # maps of different lengths
+        HeckeOperatorMatrix(
+            2, 2, [(IntMatrix2(1, 0, 0, 2), (0, 1, 2)), (IntMatrix2(2, 0, 0, 1), (0,))]
+        )
+    with pytest.raises(ArithmeticError):
+        # The dense form with one matrix twice in row 0.
+        HeckeOperatorMatrix(1, 2, [[[IntMatrix2(1, 0, 0, 2), IntMatrix2(1, 0, 0, 2)]]])
+
+
+def test_dense_view_round_trips_through_the_constructor():
+    op = vector_hecke(coset_table(6), 5)
+    assert HeckeOperatorMatrix(op.n, op.m, op.entries) == op
+    assert op.entries is not op.entries

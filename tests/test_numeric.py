@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from periodhecke.congruence import coset_table
+from periodhecke.congruence import coset_table, rho
 from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME
-from periodhecke.hecke import vector_hecke
+from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
 from periodhecke.numeric import (
     apply_hecke_numeric,
     constant_lift,
@@ -200,10 +200,7 @@ def test_eta_rejects_paths_near_real_axis():
 
 
 def test_apply_hecke_identity_operator():
-    from periodhecke.hecke import HeckeOperatorMatrix
-    from periodhecke.exact_core import FormalSum
-
-    op = HeckeOperatorMatrix(1, 1, [[FormalSum.from_matrices([I])]])
+    op = HeckeOperatorMatrix(1, 1, [(I, (0,))])
     psi = constant_lift(reciprocal, 1)
     for zeta in (0.5, 2.0):
         (val,) = apply_hecke_numeric(op, psi, 1, zeta)
@@ -229,3 +226,54 @@ def test_hecke_image_stays_period_like(n, m):
     for zeta in (0.2, 0.9, 3.3):
         res = three_term_residual(image, table, 1, zeta)
         assert max(abs(x) for x in res) < 1e-10
+
+
+def cusp_solutions(table, s):
+    """psi(z) = v - z^(-2s) rho(S) v for the indicator v of each orbit of
+    rho(T): solutions of the vector three-term equation for every s whose
+    components differ, so a misplaced column changes the image."""
+    image = rho(table, T).image
+    seen, solutions = set(), []
+    for start in range(table.mu):
+        orbit, i = set(), start
+        while i not in seen:
+            seen.add(i)
+            orbit.add(i)
+            i = image[i]
+        if orbit:
+            v = [1.0 if k in orbit else 0.0 for k in range(table.mu)]
+            w = rho(table, S).apply(v)
+            solutions.append(lambda z, v=v, w=w: [a - z ** (-2 * s) * b for a, b in zip(v, w)])
+    return solutions
+
+
+def worst_relative_residual(op, table, s, points=(0.3, 1.0, 2.7)):
+    """max over cusp solutions of |three-term residual of op psi| / max |op psi|."""
+    worst = 0.0
+    for psi in cusp_solutions(table, s):
+        image = hecke_image(op, psi, s)
+        largest = max(abs(x) for z in points for x in image(z))
+        residual = max(abs(x) for z in points for x in three_term_residual(image, table, s, z))
+        worst = max(worst, residual / largest)
+    return worst
+
+
+CUSP_PAIRS = [(2, 3), (2, 2), (3, 2), (4, 3), (6, 3), (6, 5), (9, 2), (5, 5)]
+
+
+@pytest.mark.parametrize("s", [0.5 + 3j, 1], ids=["s=0.5+3i", "s=1"])
+@pytest.mark.parametrize("n,m", CUSP_PAIRS)
+def test_hecke_image_of_cusp_solutions_solves_three_term(n, m, s):
+    table = coset_table(n)
+    assert worst_relative_residual(vector_hecke(table, m), table, s) <= 1e-10
+
+
+@pytest.mark.parametrize("n,m", [(4, 3), (6, 3), (5, 5)])
+def test_rotating_one_column_map_breaks_the_cusp_solution_check(n, m):
+    table = coset_table(n)
+    op = vector_hecke(table, m)
+    for k, (mat, image) in enumerate(op.columns):
+        columns = list(op.columns)
+        columns[k] = (mat, image[1:] + image[:1])
+        mutant = HeckeOperatorMatrix(n, m, columns)
+        assert worst_relative_residual(mutant, table, 0.5 + 3j) > 1e-3
