@@ -18,6 +18,7 @@ from .exact_core import (
 )
 from .farey import (
     LeftNeighborSequence,
+    chain_matrices,
     farey_sequence,
     is_minimal_partition,
     left_neighbor,
@@ -55,6 +56,7 @@ from .hecke import (
 from .numeric import (
     apply_hecke_numeric,
     constant_lift,
+    cusp_solution,
     eta_line_integral,
     hecke_image,
     laplace_fd,

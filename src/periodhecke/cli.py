@@ -11,21 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from contextlib import contextmanager
 
 from .congruence import coset_table, rho
 from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME
 from .farey import farey_sequence, lns, m_of_q
 from .hecke import gen_sm, h_tilde, sigma, vector_hecke
-from .numeric import (
-    constant_lift,
-    eta_line_integral,
-    hecke_image,
-    laplace_fd,
-    r_zeta,
-    three_term_residual,
-)
-from .verify import run_all_checks, sample_points
+from .numeric import cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
+from .verify import residual_and_scale, run_all_checks, sample_points
+
+# Largest accepted levels, so that no command runs for minutes: `farey --n`
+# lists about 1.2 n^2 rationals (3 MB of JSON at 500), and building the
+# coset table of level n takes under 2 s at 400 but grows faster than n^2.
+FAREY_LEVEL_CAP = 500
+COSET_LEVEL_CAP = 400
 
 
 class UsageError(ValueError):
@@ -67,6 +68,44 @@ def _positive_int(text):
     return int(text)
 
 
+def _capped(n, cap):
+    if n > cap:
+        raise UsageError("--n must be at most %d, got %d" % (cap, n))
+    return n
+
+
+@contextmanager
+def _float_range(s_text):
+    """Report a spectral parameter that drives the weights z^(-2s) or the
+    kernel powers out of the floating-point range (an overflow, a division
+    by a power that underflowed to 0, or a result _finite rejects) as a
+    usage error."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        raise UsageError(
+            "--s %s drives the numeric weights out of the floating-point range; "
+            "choose a smaller |s|" % s_text
+        ) from None
+
+
+def _finite(*values):
+    if not all(math.isfinite(abs(x)) for x in values):
+        raise OverflowError("non-finite numeric result")
+
+
+def _attach_dash_values(argv):
+    """Write `--flag -1/2` as `--flag=-1/2`: argparse reads a separate value
+    that starts with '-' as a flag unless it is a plain negative number."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _parse_word(text):
     """A product of the generators written as a string of T, S and T'."""
     g = I
@@ -105,7 +144,7 @@ def _emit(text, out):
 
 
 def _cmd_farey(args):
-    seq = farey_sequence(args.n)
+    seq = farey_sequence(_capped(args.n, FAREY_LEVEL_CAP))
     payload = [str(r) for r in seq]
     return payload, [[s] for s in payload], 0
 
@@ -122,13 +161,13 @@ def _cmd_mq(args):
 
 
 def _cmd_cosets(args):
-    table = coset_table(args.n)
+    table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
     payload = {"mu": table.mu, "reps": [g.rows() for g in table.reps]}
     return payload, [_flat_rows(g) for g in table.reps], 0
 
 
 def _cmd_rho(args):
-    table = coset_table(args.n)
+    table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
     perm = rho(table, _parse_word(args.word))
     payload = list(perm.image)
     return payload, [[str(j) for j in perm.image]], 0
@@ -147,7 +186,7 @@ def _cmd_hecke_scalar(args):
 
 
 def _cmd_hecke_vector(args):
-    op = vector_hecke(coset_table(args.n), args.m)
+    op = vector_hecke(coset_table(_capped(args.n, COSET_LEVEL_CAP)), args.m)
     rows = [
         [str(j), str(i), "1"] + _flat_rows(mat)
         for j, row in enumerate(op.entries)
@@ -164,32 +203,38 @@ def _cmd_sm(args):
 
 def _cmd_check_three_term(args):
     s = _parse_complex(args.s)
-    table = coset_table(args.n)
+    table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
     op = vector_hecke(table, args.m)
-    image = hecke_image(op, constant_lift(lambda z: 1.0 / z, table.mu), s)
-    worst = max(
-        abs(x)
-        for zeta in sample_points(args.points)
-        for x in three_term_residual(image, table, s, zeta)
-    )
-    payload = {"max_residual": worst, "points": args.points}
-    rows = [["max_residual", repr(worst)], ["points", str(args.points)]]
-    return payload, rows, 0 if worst < args.tolerance else 1
+    with _float_range(args.s):
+        worst, largest = residual_and_scale(
+            hecke_image(op, cusp_solution(table, s), s), table, s, sample_points(args.points)
+        )
+        _finite(worst, largest)
+    if largest == 0:
+        raise UsageError("the reference solution vanishes at --s %s, so there is nothing to check" % args.s)
+    relative = worst / largest
+    payload = {"max_residual": relative, "points": args.points}
+    rows = [["max_residual", repr(relative)], ["points", str(args.points)]]
+    return payload, rows, 0 if relative <= args.tolerance else 1
 
 
 def _cmd_check_laplace(args):
     s = _parse_complex(args.s)
     if args.h == args.h2:
         raise UsageError("--h and --h2 must differ: the order is read from their ratio")
+    if s * (1 - s) == 0:
+        raise UsageError("--s must not be 0 or 1: the eigenvalue s(1-s) is 0, so no relative error exists")
     zeta = 0.7
     f = lambda z: r_zeta(z, zeta) ** s
     worst_coarse = worst_fine = 0.0
-    for k in range(args.points):
-        z0 = -1.5 + 3.0 * k / max(1, args.points - 1) + 1j * (0.6 + 0.05 * k)
-        reference = s * (1 - s) * f(z0)
-        worst_coarse = max(worst_coarse, abs(laplace_fd(f, z0, args.h) - reference) / abs(reference))
-        worst_fine = max(worst_fine, abs(laplace_fd(f, z0, args.h2) - reference) / abs(reference))
-    order = math.log(worst_coarse / worst_fine) / math.log(args.h / args.h2)
+    with _float_range(args.s):
+        for k in range(args.points):
+            z0 = -1.5 + 3.0 * k / max(1, args.points - 1) + 1j * (0.6 + 0.05 * k)
+            reference = s * (1 - s) * f(z0)
+            worst_coarse = max(worst_coarse, abs(laplace_fd(f, z0, args.h) - reference) / abs(reference))
+            worst_fine = max(worst_fine, abs(laplace_fd(f, z0, args.h2) - reference) / abs(reference))
+        _finite(worst_coarse, worst_fine)
+        order = math.log(worst_coarse / worst_fine) / math.log(args.h / args.h2)
     payload = {
         "error_h": worst_coarse,
         "error_h2": worst_fine,
@@ -208,10 +253,12 @@ def _cmd_check_eta_loop(args):
     v = lambda z: r_zeta(z, 3.0) ** s
     loop = [0.2 + 0.5j, 1.2 + 0.5j, 1.2 + 1.5j, 0.2 + 1.5j, 0.2 + 0.5j]
     panels = [args.panels * 2 ** k for k in range(args.doublings + 1)]
-    magnitudes = [
-        abs(eta_line_integral(u, v, loop, steps=p, fd_step=1e-5)) for p in panels
-    ]
-    ratios = [coarse / fine for coarse, fine in zip(magnitudes, magnitudes[1:])]
+    with _float_range(args.s):
+        magnitudes = [
+            abs(eta_line_integral(u, v, loop, steps=p, fd_step=1e-5)) for p in panels
+        ]
+        _finite(*magnitudes)
+        ratios = [coarse / fine for coarse, fine in zip(magnitudes, magnitudes[1:])]
     payload = {"magnitudes": magnitudes, "panels": panels, "ratios": ratios}
     rows = [
         ["panels", " ".join(str(p) for p in panels)],
@@ -224,9 +271,10 @@ def _cmd_check_eta_loop(args):
 
 def _cmd_verify_all(args):
     s = _parse_complex(args.s)
-    checks = run_all_checks(
-        args.n, args.m, s=s, points=args.points, tolerance=args.tolerance
-    )
+    with _float_range(args.s):
+        checks = run_all_checks(
+            _capped(args.n, COSET_LEVEL_CAP), args.m, s=s, points=args.points, tolerance=args.tolerance
+        )
     all_pass = all(passed for _, passed, _ in checks)
     payload = {
         "all_pass": all_pass,
@@ -311,7 +359,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,16 +1,15 @@
 """Farey sequences, the level function, left-neighbor chains, and the
 unimodular matrix sums M(q) attached to rationals in [0, 1).
 
-The sequence of level n is generated directly from its definition (all
-reduced u/v with |u| <= n, 0 <= v <= n, sorted), which doubles as the test
-oracle; neighbors are then found by binary search.  Results are cached per
-level, but no correctness depends on the cache.
+No Farey table is built to find a neighbor.  The left neighbor p/r of a/b
+in the sequence of its level is the determinant-1 partner with
+a*r - b*p = 1 that has the largest denominator inside that level, so it
+comes from one modular inverse (an extended gcd) in O(log) steps.  The whole sequence of level
+n is produced by the next-term recurrence on [0, 1] and reflected through
+1/x and -x; it is only needed to list the sequence itself.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
-from functools import lru_cache
 
 from .exact_core import (
     ExtendedRational,
@@ -29,6 +28,7 @@ __all__ = [
     "left_neighbor",
     "LeftNeighborSequence",
     "lns",
+    "chain_matrices",
     "m_of_q",
     "is_minimal_partition",
 ]
@@ -41,32 +41,48 @@ def level(r):
     return max(abs(r.num), r.den)
 
 
-@lru_cache(maxsize=None)
-def _farey_tuple(n):
-    if n == 0:
-        return (MINUS_INFINITY, ZERO, INFINITY)
-    members = set()
-    for u in range(-n, n + 1):
-        for v in range(n + 1):
-            if u == 0 and v == 0:
-                continue
-            members.add(ExtendedRational(u, v))
-    return tuple(sorted(members))
-
-
 def farey_sequence(n):
     """The Farey sequence of level n, ascending, bracketed by -1/0 and 1/0."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    return list(_farey_tuple(n))
+    if n == 0:
+        return [MINUS_INFINITY, ZERO, INFINITY]
+    # Next-term recurrence for the fractions of [0, 1] with denominator <= n.
+    unit = [ZERO]
+    a, b, c, d = 0, 1, 1, n
+    while c <= n:
+        unit.append(ExtendedRational(c, d))
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    # 1/x maps [0, 1] onto [1, 1/0]; -x maps [0, 1/0] onto [-1/0, 0].
+    positive = unit + [ExtendedRational(r.den, r.num) for r in reversed(unit[:-1])]
+    return [ExtendedRational(-r.num, r.den) for r in reversed(positive[1:])] + positive
 
 
 def left_neighbor(q):
-    """The largest member of the level-lev(q) Farey sequence strictly below q."""
-    if q == MINUS_INFINITY:
-        raise ValueError("-1/0 has no left neighbor")
-    seq = _farey_tuple(level(q))
-    return seq[bisect_left(seq, q) - 1]
+    """The largest member of the level-lev(q) Farey sequence strictly below q.
+
+    For q = a/b with a != 0 this is the p/r with a*r - b*p = 1 whose
+    denominator r is largest subject to r <= L and |p| <= L, where
+    L = max(|a|, b): the solutions r form the residue class of 1/a mod b,
+    and the bound on |p| caps r at (L*b + 1) // a for a > 0 and at
+    (L*b - 1) // |a| for a < 0.
+    """
+    a, b = q.num, q.den
+    if b == 0:
+        if a < 0:
+            raise ValueError("-1/0 has no left neighbor")
+        return ZERO
+    if a == 0:
+        return MINUS_INFINITY
+    bound = max(abs(a), b)
+    r0 = pow(a, -1, b)
+    if a > 0:
+        cap = min(bound, (bound * b + 1) // a)
+    else:
+        cap = min(bound, (bound * b - 1) // -a)
+    r = cap - (cap - r0) % b
+    return ExtendedRational((a * r - 1) // b, r)
 
 
 class LeftNeighborSequence(Frozen):
@@ -122,20 +138,26 @@ def lns(q):
     return LeftNeighborSequence(chain)
 
 
-def m_of_q(q):
-    """The formal sum M(q), q rational in [0, 1).
+def chain_matrices(q):
+    """The summands of M(q), q rational in [0, 1), in chain order.
 
     Writing lns(q) = (a_0/b_0, ..., a_L/b_L), the l-th summand is the
     unimodular matrix (b_l -a_l; b_{l-1} -a_{l-1}); the first summand is
-    always the identity and every summand has determinant 1.
+    always the identity, every summand has determinant 1, and no two are
+    equal.
     """
     if q.den == 0 or not (ZERO <= q < ONE):
         raise ValueError("m_of_q is defined for rationals in [0, 1)")
     entries = lns(q).entries
-    mats = []
-    for prev, cur in zip(entries, entries[1:]):
-        mats.append(IntMatrix2(cur.den, -cur.num, prev.den, -prev.num))
-    return FormalSum.from_matrices(mats)
+    return [
+        IntMatrix2(cur.den, -cur.num, prev.den, -prev.num)
+        for prev, cur in zip(entries, entries[1:])
+    ]
+
+
+def m_of_q(q):
+    """The formal sum M(q) of chain_matrices(q), q rational in [0, 1)."""
+    return FormalSum.from_matrices(chain_matrices(q))
 
 
 def is_minimal_partition(seq):

@@ -9,7 +9,7 @@ import math
 from collections import namedtuple
 
 from .exact_core import ExtendedRational, FormalSum, Frozen, IntMatrix2, xgcd
-from .farey import m_of_q
+from .farey import chain_matrices
 
 __all__ = [
     "divisors",
@@ -151,11 +151,12 @@ def h_tilde(m):
     sum over d | m, 0 <= b < d of M(b/d) * (m/d b; 0 d)."""
     if m < 1:
         raise ValueError("Hecke index must be positive")
-    total = FormalSum()
-    for d in divisors(m):
-        for b in range(d):
-            total = total + m_of_q(ExtendedRational(b, d)) * IntMatrix2(m // d, b, 0, d)
-    return total
+    return FormalSum.from_matrices(
+        link * IntMatrix2(m // d, b, 0, d)
+        for d in divisors(m)
+        for b in range(d)
+        for link in chain_matrices(ExtendedRational(b, d))
+    )
 
 
 def in_sm(g, m=None):
@@ -296,8 +297,8 @@ def vector_hecke(table, m):
     X_m minus (m 0; 0 1) when m divides the level), the chain sum of
     sigma = sigma_{reps[j]}(A) applied to 0 is expanded, and each chain
     matrix B sends row j of the map of B * sigma to the coset of
-    reps[phi] * B^-1.  A chain coefficient other than 1, or a (B * sigma, j)
-    pair met twice, raises ArithmeticError.
+    reps[phi] * B^-1.  A (B * sigma, j) pair met twice, as a chain that
+    repeated a matrix would give, raises ArithmeticError.
     """
     if not is_prime(m):
         raise ValueError("vector Hecke operators are defined for prime m only")
@@ -316,9 +317,7 @@ def vector_hecke(table, m):
                 record = phi(table, a_mat, j)
                 s = record.sigma
                 target_rep = table.reps[record.phi]
-                for coeff, link in m_of_q(ExtendedRational(s.b, s.d)):
-                    if coeff != 1:
-                        raise ArithmeticError("chain matrix %r has coefficient %d" % (link, coeff))
+                for link in chain_matrices(ExtendedRational(s.b, s.d)):
                     yield link * s, j, table.index(target_rep * link.inverse())
 
     return HeckeOperatorMatrix(table.n, m, _column_maps(table.mu, placements()))

@@ -11,12 +11,15 @@ complex number; vector handles return a sequence of component values.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .congruence import rho
-from .exact_core import IntMatrix2, T, T_PRIME
+from .exact_core import IntMatrix2, S, T, T_PRIME
 
 __all__ = [
     "slash_eval",
     "constant_lift",
+    "cusp_solution",
     "three_term_residual",
     "transfer_residual",
     "r_zeta",
@@ -56,6 +59,37 @@ def constant_lift(f, mu):
     return lambda t: [f(t)] * mu
 
 
+def cusp_solution(table, s):
+    """The vector handle psi(z) = w - z^(-2s) rho(S) w, where w weights each
+    orbit of rho(T) (each cusp) by 1 + the smallest coset index in it.
+
+    Each orbit's indicator gives a solution of the three-term equation for
+    every s, so psi is one too; the distinct weights make its components
+    differ, so a misplaced column of an operator changes the image.
+    """
+    image = rho(table, T).image
+    w = [0.0] * table.mu
+    for start in range(table.mu):
+        i = start
+        while not w[i]:
+            w[i] = start + 1.0
+            i = image[i]
+    folded = rho(table, S).apply(w)
+
+    def psi(z):
+        factor = z ** (-2 * s)
+        return [a - factor * b for a, b in zip(w, folded)]
+
+    return psi
+
+
+@lru_cache(maxsize=64)
+def _rho_cached(table, word):
+    """rho(table, word) for the few fixed words of the residuals, kept for
+    the most recently used tables."""
+    return rho(table, word)
+
+
 def three_term_residual(psi, table, s, zeta):
     """Componentwise defect of the three-term equation at zeta > 0:
 
@@ -65,8 +99,8 @@ def three_term_residual(psi, table, s, zeta):
     """
     if not zeta > 0:
         raise ValueError("residuals are evaluated on (0, infinity)")
-    perm_t = rho(table, T.inverse())
-    perm_tp = rho(table, T_PRIME.inverse())
+    perm_t = _rho_cached(table, T.inverse())
+    perm_tp = _rho_cached(table, T_PRIME.inverse())
     base = psi(zeta)
     shifted = perm_t.apply(psi(zeta + 1))
     folded = perm_tp.apply(psi(zeta / (zeta + 1)))
@@ -84,8 +118,8 @@ def transfer_residual(psi, table, s, sign, zeta):
         raise ValueError("sign must be +1 or -1")
     if not zeta > 0:
         raise ValueError("residuals are evaluated on (0, infinity)")
-    perm_t = rho(table, T.inverse())
-    perm_m = rho(table, _TRANSFER_PERM_WORD)
+    perm_t = _rho_cached(table, T.inverse())
+    perm_m = _rho_cached(table, _TRANSFER_PERM_WORD)
     base = psi(zeta)
     shifted = perm_t.apply(psi(zeta + 1))
     swapped = perm_m.apply(psi((zeta + 1) / zeta))

@@ -13,9 +13,15 @@ from .congruence import coset_table, gamma0_contains, rho
 from .exact_core import FormalSum, I, IntMatrix2, S, T, T_PRIME, xgcd
 from .farey import farey_sequence, left_neighbor, level
 from .hecke import divisors, gen_sm, gen_xm, h_tilde, in_sm, phi, sigma, vector_hecke
-from .numeric import constant_lift, hecke_image, three_term_residual, transfer_residual
+from .numeric import (
+    constant_lift,
+    cusp_solution,
+    hecke_image,
+    three_term_residual,
+    transfer_residual,
+)
 
-__all__ = ["run_all_checks", "sample_points"]
+__all__ = ["run_all_checks", "residual_and_scale", "sample_points"]
 
 
 def _random_word(rng, max_len=6):
@@ -43,6 +49,14 @@ def sample_points(points):
     return [0.1 + 9.9 * k / max(1, points - 1) for k in range(points)]
 
 
+def residual_and_scale(psi, table, s, zetas):
+    """The largest three-term residual of psi over the points zetas, and
+    the largest |psi| there, which the residual is measured against."""
+    residual = max(abs(x) for z in zetas for x in three_term_residual(psi, table, s, z))
+    largest = max(abs(x) for z in zetas for x in psi(z))
+    return residual, largest
+
+
 def run_all_checks(n, m, s=1.0, points=25, tolerance=1e-9, seed=0):
     """Run the invariant suite for level n and prime index m; returns a
     list of (name, passed, detail) triples."""
@@ -64,14 +78,18 @@ def run_all_checks(n, m, s=1.0, points=25, tolerance=1e-9, seed=0):
         )
     )
 
+    # The level-lev sequence is the part of the top one with level <= lev,
+    # so the scan oracle walks left from q to the first such member.
+    top = farey_sequence(min(10 + m, 30))
     ok = True
-    for q in farey_sequence(min(10 + m, 30)):
+    for k in range(1, len(top)):
+        q = top[k]
         lev = level(q)
-        if q.num == -1 and q.den == 0:
-            continue
+        i = k - 1
+        while level(top[i]) > lev:
+            i -= 1
         neighbor = left_neighbor(q)
-        scan = max(r for r in farey_sequence(lev) if r < q)
-        if neighbor != scan or (lev > 0 and level(neighbor) >= lev):
+        if neighbor != top[i] or (lev > 0 and level(neighbor) >= lev):
             ok = False
             break
     checks.append(("farey-left-neighbor", ok, "scan oracle + level descent"))
@@ -120,35 +138,37 @@ def run_all_checks(n, m, s=1.0, points=25, tolerance=1e-9, seed=0):
             ("level-one-reduction", op.row_sum(0) == h_tilde(m), "single entry vs scalar sum")
         )
 
-    psi = constant_lift(lambda z: 1.0 / z, table.mu)
+    psi = cusp_solution(table, s)
     zetas = sample_points(points)
-    worst_in = max(
-        abs(x) for zeta in zetas for x in three_term_residual(psi, table, s, zeta)
-    )
+    worst_in, largest_in = residual_and_scale(psi, table, s, zetas)
     checks.append(
-        ("three-term-input", worst_in < 1e-12, "max residual %.3e" % worst_in)
+        (
+            "three-term-input",
+            largest_in > 0 and worst_in <= 1e-12 * largest_in,
+            "max residual %.3e, max |psi| %.3e" % (worst_in, largest_in),
+        )
     )
 
-    image = hecke_image(op, psi, s)
-    worst_out = max(
-        abs(x) for zeta in zetas for x in three_term_residual(image, table, s, zeta)
-    )
+    worst_out, largest_out = residual_and_scale(hecke_image(op, psi, s), table, s, zetas)
     checks.append(
         (
             "three-term-preserved",
-            worst_out < tolerance,
-            "max residual %.3e (tolerance %.1e)" % (worst_out, tolerance),
+            largest_out > 0 and worst_out <= tolerance * largest_out,
+            "max residual %.3e, max |image| %.3e (relative tolerance %.1e)"
+            % (worst_out, largest_out, tolerance),
         )
     )
 
     if n == 1:
-        plus = max(abs(transfer_residual(psi, table, s, 1, z)[0]) for z in zetas)
-        minus = abs(transfer_residual(psi, table, s, -1, 1.0)[0])
+        # 1/z solves the plus sign of the transfer variant at s = 1 only.
+        reciprocal = constant_lift(lambda z: 1.0 / z, 1)
+        plus = max(abs(transfer_residual(reciprocal, table, 1, 1, z)[0]) for z in zetas)
+        minus = abs(transfer_residual(reciprocal, table, 1, -1, 1.0)[0])
         checks.append(
             (
                 "transfer-equation-signs",
                 plus < 1e-12 and minus > 1e-2,
-                "plus %.3e, minus at 1 is %.3e" % (plus, minus),
+                "s = 1 reference 1/z: plus %.3e, minus at 1 is %.3e" % (plus, minus),
             )
         )
 

@@ -178,3 +178,93 @@ def test_run_all_checks_needs_a_sample_point():
 
     with pytest.raises(ValueError, match="sample point"):
         run_all_checks(2, 3, points=0)
+
+
+def test_verify_all_passes_a_correct_operator_away_from_s_equal_one(capsys):
+    code, out = run_cli(capsys, ["verify-all", "--n", "2", "--m", "3", "--s", "2.5", "--points", "5"])
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+
+
+def test_check_three_term_reports_the_residual_relative_to_the_image(capsys):
+    code, out = run_cli(capsys, ["check-three-term", "--n", "2", "--m", "3", "--s", "2.5", "--points", "5"])
+    assert code == 0
+    payload = json.loads(out)
+    validate("check-three-term", payload)
+    assert payload["max_residual"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["lns", "--q", "-1/2"], ["-1/0", "-1/1", "-1/2"]),
+        (["lns", "--q", "-97/130"], ["-1/0", "-1/1", "-3/4", "-50/67", "-97/130"]),
+        (["sigma", "--g", "-1,0,0,-1", "--A", "1,0,0,2"], {"sigma": [[1, 0], [0, 2]]}),
+    ],
+    ids=["lns", "lns-level-130", "sigma"],
+)
+def test_values_starting_with_a_dash_parse(capsys, argv, expected):
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+def test_mq_of_a_negative_rational_parses_and_names_the_domain(capsys):
+    assert main(["mq", "--q", "-1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "defined for rationals in [0, 1)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-laplace", "--s", "1e200", "--points", "3"],
+        ["check-three-term", "--n", "1", "--m", "2", "--s", "-400", "--points", "3"],
+        ["verify-all", "--n", "2", "--m", "3", "--s", "-400", "--points", "3"],
+        ["check-eta-loop", "--s", "1e200", "--panels", "2", "--doublings", "1"],
+    ],
+    ids=["laplace", "three-term", "verify-all", "eta-loop"],
+)
+def test_oversized_spectral_parameter_exits_two_with_a_message(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--s %s drives the numeric weights out of the floating-point range" % argv[argv.index("--s") + 1] in captured.err
+
+
+@pytest.mark.parametrize("s", ["0", "1"])
+def test_check_laplace_at_a_zero_eigenvalue_exits_two(capsys, s):
+    assert main(["check-laplace", "--s", s, "--points", "3"]) == 2
+    assert "eigenvalue s(1-s) is 0" in capsys.readouterr().err
+
+
+def test_vanishing_reference_solution_exits_two(capsys):
+    assert main(["check-three-term", "--n", "1", "--m", "2", "--s", "0", "--points", "3"]) == 2
+    assert "reference solution vanishes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,target,cap",
+    [
+        ("farey", "farey_sequence", "FAREY_LEVEL_CAP"),
+        ("cosets", "coset_table", "COSET_LEVEL_CAP"),
+        ("rho", "coset_table", "COSET_LEVEL_CAP"),
+        ("hecke-vector", "coset_table", "COSET_LEVEL_CAP"),
+        ("verify-all", "run_all_checks", "COSET_LEVEL_CAP"),
+    ],
+)
+def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, cap):
+    from periodhecke import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("%s was started" % target)
+
+    monkeypatch.setattr(cli, target, forbidden)
+    limit = getattr(cli, cap)
+    extra = {"rho": ["--word", "T"], "hecke-vector": ["--m", "2"], "verify-all": ["--m", "2"]}.get(command, [])
+    assert main([command, "--n", str(limit + 1)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n must be at most %d, got %d" % (limit, limit + 1) in captured.err
+

@@ -51,7 +51,7 @@ def test_farey_base_cases():
 
 
 def test_farey_matches_enumeration_oracle():
-    for n in range(12):
+    for n in range(41):
         assert farey_sequence(n) == brute_force_farey(n)
 
 
@@ -69,18 +69,24 @@ def test_left_neighbor_examples():
     assert left_neighbor(rat(-1)) == MINUS_INFINITY
     assert left_neighbor(rat(2, 3)) == rat(1, 2)
     assert left_neighbor(INFINITY) == ZERO
+    assert left_neighbor(ZERO) == MINUS_INFINITY
     with pytest.raises(ValueError):
         left_neighbor(MINUS_INFINITY)
 
 
 def test_left_neighbor_against_scan_oracle():
-    for n in range(9):
-        seq = brute_force_farey(n)
-        for q in seq:
-            if q == MINUS_INFINITY or level(q) != n:
-                continue
-            expected = max(r for r in seq if r < q)
-            assert left_neighbor(q) == expected
+    # Every member of every level <= 60.  The level-n sequence is the part
+    # of the level-60 oracle with level <= n, and the scan oracle is the
+    # predecessor of q in that part.
+    top = brute_force_farey(60)
+    checked = 0
+    for n in range(61):
+        seq = [r for r in top if level(r) <= n]
+        for i, q in enumerate(seq):
+            if q != MINUS_INFINITY and level(q) == n:
+                assert left_neighbor(q) == seq[i - 1]
+                checked += 1
+    assert checked == len(top) - 1
 
 
 def test_level_descent():
@@ -262,3 +268,27 @@ def test_lns_minimal_on_unit_interval():
 
 def test_lns_json():
     assert lns(rat(1, 2)).to_json_obj() == ["-1/0", "0/1", "1/2"]
+
+
+
+def test_chains_build_no_farey_table(monkeypatch):
+    # A chain creates at most one rational per step; the Farey table of
+    # level L alone holds about 1.2 L^2 of them.
+    from periodhecke import farey
+    from periodhecke.hecke import h_tilde
+
+    made = []
+
+    class Counting(ExtendedRational):
+        __slots__ = ()
+
+        def __init__(self, num, den=1):
+            made.append((num, den))
+            super().__init__(num, den)
+
+    monkeypatch.setattr(farey, "ExtendedRational", Counting)
+    assert lns(rat(262, 263)).steps == 263
+    assert len(made) <= 263
+    made.clear()
+    assert len(h_tilde(62)) == 732
+    assert len(made) <= 732

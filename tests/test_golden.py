@@ -32,6 +32,7 @@ CASES = [
     ("hecke-scalar-1.json", ["hecke-scalar", "--m", "1"]),
     ("hecke-scalar-6.json", ["hecke-scalar", "--m", "6"]),
     ("hecke-scalar-13.tsv", ["hecke-scalar", "--m", "13", "--format", "tsv"]),
+    ("hecke-scalar-62.tsv", ["hecke-scalar", "--m", "62", "--format", "tsv"]),
     ("sm-1.json", ["sm", "--m", "1"]),
     ("sm-12.json", ["sm", "--m", "12"]),
     ("sm-7.tsv", ["sm", "--m", "7", "--format", "tsv"]),
@@ -44,9 +45,13 @@ CASES = [
     ("mq-0.json", ["mq", "--q", "0"]),
     ("mq-5-13.json", ["mq", "--q=5/13"]),
     ("mq-7-19.tsv", ["mq", "--q=7/19", "--format", "tsv"]),
+    ("mq-97-263.tsv", ["mq", "--q=97/263", "--format", "tsv"]),
     ("lns-1-0.json", ["lns", "--q", "1/0"]),
     ("lns-5-13.json", ["lns", "--q=5/13"]),
     ("lns-m3-7.tsv", ["lns", "--q=-3/7", "--format", "tsv"]),
+    ("lns-262-263.json", ["lns", "--q=262/263"]),
+    ("lns-m97-130.json", ["lns", "--q=-97/130"]),
+    ("lns-250-101.json", ["lns", "--q=250/101"]),
     ("farey-0.json", ["farey", "--n", "0"]),
     ("farey-5.json", ["farey", "--n", "5"]),
     ("farey-3.tsv", ["farey", "--n", "3", "--format", "tsv"]),

@@ -321,7 +321,39 @@ def test_hecke_operator_matrix_rejects_bad_column_maps():
         HeckeOperatorMatrix(1, 2, [[[IntMatrix2(1, 0, 0, 2), IntMatrix2(1, 0, 0, 2)]]])
 
 
+def test_vector_hecke_rejects_a_chain_that_repeats_a_matrix(monkeypatch):
+    from periodhecke import hecke
+
+    real = hecke.chain_matrices
+    monkeypatch.setattr(hecke, "chain_matrices", lambda q: real(q) * 2)
+    with pytest.raises(ArithmeticError, match="twice"):
+        vector_hecke(coset_table(2), 3)
+
+
 def test_dense_view_round_trips_through_the_constructor():
     op = vector_hecke(coset_table(6), 5)
     assert HeckeOperatorMatrix(op.n, op.m, op.entries) == op
     assert op.entries is not op.entries
+
+
+@pytest.mark.parametrize("ms", [range(1, 101), range(101, 201)], ids=["m<=100", "100<m<=200"])
+def test_h_tilde_equals_the_s_m_enumeration(ms):
+    for m in ms:
+        assert h_tilde(m) == FormalSum.from_matrices(gen_sm(m))
+
+
+def test_h_tilde_builds_one_formal_sum(monkeypatch):
+    from periodhecke import hecke
+
+    built = []
+
+    class Counting(FormalSum):
+        __slots__ = ()
+
+        def __init__(self, terms=()):
+            built.append(1)
+            super().__init__(terms)
+
+    monkeypatch.setattr(hecke, "FormalSum", Counting)
+    assert h_tilde(30) == FormalSum.from_matrices(gen_sm(30))
+    assert len(built) == 1

@@ -9,6 +9,7 @@ from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
 from periodhecke.numeric import (
     apply_hecke_numeric,
     constant_lift,
+    cusp_solution,
     eta_line_integral,
     hecke_image,
     laplace_fd,
@@ -277,3 +278,42 @@ def test_rotating_one_column_map_breaks_the_cusp_solution_check(n, m):
         columns[k] = (mat, image[1:] + image[:1])
         mutant = HeckeOperatorMatrix(n, m, columns)
         assert worst_relative_residual(mutant, table, 0.5 + 3j) > 1e-3
+
+
+@pytest.mark.parametrize("s", [0.5 + 3j, 1, 2.5], ids=["s=0.5+3i", "s=1", "s=2.5"])
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 25])
+def test_cusp_solution_solves_three_term(n, s):
+    table = coset_table(n)
+    psi = cusp_solution(table, s)
+    points = (0.1, 0.3, 1.0, 2.7, 10.0)
+    largest = max(abs(x) for z in points for x in psi(z))
+    residual = max(abs(x) for z in points for x in three_term_residual(psi, table, s, z))
+    assert residual <= 1e-12 * largest
+
+
+def test_cusp_solution_weights_each_cusp_differently():
+    table = coset_table(6)
+    w = cusp_solution(table, 1)(1e9)  # z^(-2s) is negligible here
+    orbit_of_t = rho(table, T).image
+    for j in range(table.mu):
+        assert w[j] == pytest.approx(w[orbit_of_t[j]])
+    assert len({round(x.real, 6) for x in w}) == 4  # Gamma0(6) has 4 cusps
+
+
+def test_residuals_build_their_permutations_once_per_table(monkeypatch):
+    from periodhecke.congruence import CosetTable
+
+    table = coset_table(14)
+    psi = constant_lift(reciprocal, table.mu)
+    three_term_residual(psi, table, 1, 0.5)
+    transfer_residual(psi, table, 1, 1, 0.5)
+    calls = []
+    original = CosetTable.index
+    monkeypatch.setattr(CosetTable, "index", lambda self, g: calls.append(g) or original(self, g))
+    for zeta in (0.2, 0.7, 3.0):
+        three_term_residual(psi, table, 1, zeta)
+        transfer_residual(psi, table, 1, 1, zeta)
+    assert calls == []
+    from periodhecke import numeric
+
+    assert numeric._rho_cached.cache_info().maxsize is not None
