@@ -22,11 +22,17 @@ from .hecke import gen_sm, h_tilde, sigma, vector_hecke
 from .numeric import cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
 from .verify import residual_and_scale, run_all_checks, sample_points
 
-# Largest accepted levels, so that no command runs for minutes: `farey --n`
-# lists about 1.2 n^2 rationals (3 MB of JSON at 500), and building the
-# coset table of level n takes under 2 s at 400 but grows faster than n^2.
+# Largest accepted levels and Hecke indices, so that no command runs for
+# minutes.  `farey --n` lists about 1.2 n^2 rationals (3 MB of JSON at 500).
+# A level-400 coset table takes under 0.1 s, but the commands on it do work
+# of order mu(n) times the index; each index cap is at most 2 s at level 1.
 FAREY_LEVEL_CAP = 500
 COSET_LEVEL_CAP = 400
+SCALAR_INDEX_CAP = 1500
+SM_INDEX_CAP = 500
+VECTOR_INDEX_CAP = 1500
+THREE_TERM_INDEX_CAP = 120
+VERIFY_INDEX_CAP = 250
 
 
 class UsageError(ValueError):
@@ -68,10 +74,10 @@ def _positive_int(text):
     return int(text)
 
 
-def _capped(n, cap):
-    if n > cap:
-        raise UsageError("--n must be at most %d, got %d" % (cap, n))
-    return n
+def _capped(value, cap, flag="--n"):
+    if value > cap:
+        raise UsageError("%s must be at most %d, got %d" % (flag, cap, value))
+    return value
 
 
 @contextmanager
@@ -181,12 +187,13 @@ def _cmd_sigma(args):
 
 
 def _cmd_hecke_scalar(args):
-    total = h_tilde(args.m)
+    total = h_tilde(_capped(args.m, SCALAR_INDEX_CAP, "--m"))
     return total.to_json_obj(), _tsv_formal_sum(total), 0
 
 
 def _cmd_hecke_vector(args):
-    op = vector_hecke(coset_table(_capped(args.n, COSET_LEVEL_CAP)), args.m)
+    n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, VECTOR_INDEX_CAP, "--m")
+    op = vector_hecke(coset_table(n), m)
     rows = [
         [str(j), str(i), "1"] + _flat_rows(mat)
         for j, row in enumerate(op.entries)
@@ -197,14 +204,15 @@ def _cmd_hecke_vector(args):
 
 
 def _cmd_sm(args):
-    mats = gen_sm(args.m)
+    mats = gen_sm(_capped(args.m, SM_INDEX_CAP, "--m"))
     return [g.rows() for g in mats], [_flat_rows(g) for g in mats], 0
 
 
 def _cmd_check_three_term(args):
     s = _parse_complex(args.s)
-    table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
-    op = vector_hecke(table, args.m)
+    n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, THREE_TERM_INDEX_CAP, "--m")
+    table = coset_table(n)
+    op = vector_hecke(table, m)
     with _float_range(args.s):
         worst, largest = residual_and_scale(
             hecke_image(op, cusp_solution(table, s), s), table, s, sample_points(args.points)
@@ -271,10 +279,9 @@ def _cmd_check_eta_loop(args):
 
 def _cmd_verify_all(args):
     s = _parse_complex(args.s)
+    n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, VERIFY_INDEX_CAP, "--m")
     with _float_range(args.s):
-        checks = run_all_checks(
-            _capped(args.n, COSET_LEVEL_CAP), args.m, s=s, points=args.points, tolerance=args.tolerance
-        )
+        checks = run_all_checks(n, m, s=s, points=args.points, tolerance=args.tolerance)
     all_pass = all(passed for _, passed, _ in checks)
     payload = {
         "all_pass": all_pass,
@@ -307,8 +314,7 @@ def build_parser():
         p.set_defaults(func=func)
         return p
 
-    n_flag = {"type": int, "required": True}
-    m_flag = {"type": int, "required": True}
+    n_flag = m_flag = {"type": int, "required": True}
     add("farey", _cmd_farey, n=n_flag)
     add("lns", _cmd_lns, q={"required": True})
     add("mq", _cmd_mq, q={"required": True})

@@ -2,11 +2,13 @@
 cosets in SL(2,Z), the induced permutation representation, and the
 level-projection map between coset index sets.
 
-Right cosets are keyed by the bottom row (c : d) mod n up to multiplication
-by units of Z/nZ; the lexicographically least member of the unit orbit is
-the canonical key.  The key works verbatim for determinant -1 matrices as
-well (the group generated by Gamma0(n) and diag(1,-1) has the same coset
-structure), which the numeric layer needs for one transfer-equation word.
+The right cosets are the points (c : d) of P^1(Z/nZ).  A point's key is its
+lexicographically least unit multiple mod n, computed directly (Cremona,
+Algorithms for Modular Elliptic Curves, 2.2): (0, 1) if n | c, else (g, r)
+with g = gcd(c, n) and r the least u*d mod n over the units u with
+u*c = g mod n.  The key works verbatim for determinant -1 matrices as well
+(Gamma0(n) and diag(1,-1) generate a group with the same coset structure),
+which the numeric layer needs for one transfer-equation word.
 """
 
 from __future__ import annotations
@@ -49,114 +51,115 @@ def gamma0_index(n):
     return mu
 
 
-def _orbit_keys(n):
-    """Map every primitive pair (c, d) mod n to the lex-least member of its
-    unit-multiple orbit.  The orbits are exactly the right cosets."""
+def _p1_key(n, c, d):
+    """The key of (c : d) for gcd(c, d, n) = 1.  The units u with u*c = g
+    mod n lift x = (c/g)^-1 mod n/g, so u*d runs through (x*d mod n/g) +
+    j*(n/g); r is the first of these whose lift u is a unit."""
     if n == 1:
-        return {(0, 0): (0, 0)}
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    key_of = {}
-    for c in range(n):
-        for d in range(n):
-            if math.gcd(math.gcd(c, d), n) != 1 or (c, d) in key_of:
-                continue
-            orbit = {(u * c % n, u * d % n) for u in units}
-            key = min(orbit)
-            for pair in orbit:
-                key_of[pair] = key
-    return key_of
+        return (0, 0)
+    g = math.gcd(c, n)
+    if g == 1:
+        return (1, pow(c, -1, n) * d % n)
+    if g == n:
+        return (0, 1)
+    step = n // g
+    x = pow(c // g, -1, step)
+    high, low = divmod(x * d % n, step)
+    d_inverse = pow(d, -1, g)
+    for j in range(g):
+        t = (j - high) * d_inverse % g
+        if math.gcd(x + t * step, n) == 1:
+            return (g, low + step * j)
 
 
-def _shell(bound):
-    """All integer pairs (c, d) with max(|c|, |d|) == bound."""
-    for c in range(-bound, bound + 1):
-        yield c, bound
-        yield c, -bound
-    for d in range(-bound + 1, bound):
-        yield bound, d
-        yield -bound, d
-
-
-def _minimal_rep(n, key, key_of):
-    """The determinant-1 matrix with the given coset key minimizing
-    max(|a|,|b|,|c|,|d|), ties broken lexicographically by (a,b,c,d)."""
-    best = None
-    bound = 1
-    while best is None or bound <= best[0]:
-        for c, d in _shell(bound):
+def _minimal_reps(n):
+    """For every coset key, (max entry, (a, b, c, d)) of the determinant-1
+    matrix with that key minimizing max(|a|,|b|,|c|,|d|), ties broken
+    lexicographically.  One sweep over the shells max(|c|, |d|) = B; a
+    coset is settled once its best is <= B.  Only pairs of the classes
+    (gcd(c, n), gcd(d, n)) = (g, e) with cosets unsettled, phi(n / (g*e))
+    at first, are visited, and the sweep stops when none is left."""
+    def with_gcd(g, bound):  # the x with |x| <= bound and gcd(x, n) == g
+        return [x for x in range(-(bound // g) * g, bound + 1, g) if math.gcd(x, n) == g]
+    divisors = [g for g in range(1, n + 1) if n % g == 0]
+    pending = {(g, e): sum(math.gcd(u, n // g // e) == 1 for u in range(n // g // e))
+               for g in divisors for e in divisors if math.gcd(g, e) == 1}
+    best = {}
+    unsettled = set()
+    bound = 0
+    while pending:
+        bound += 1
+        edge = math.gcd(bound, n)
+        rows = {g for g, e in pending if e == edge}
+        columns = {e for g, e in pending if g == edge}
+        pairs = [(c, d) for g in rows for c in with_gcd(g, bound - 1) for d in (-bound, bound)]
+        pairs += [(c, d) for e in columns for d in with_gcd(e, bound) for c in (-bound, bound)]
+        for c, d in pairs:
             if math.gcd(c, d) != 1:
                 continue
-            if key_of.get((c % n, d % n)) != key:
+            key = _p1_key(n, c, d)
+            held = best.get(key)
+            if held is None:
+                unsettled.add(key)
+            elif held[0] < bound:
                 continue
             # a*d - b*c = 1 with (a, b) = (x + t*c, y + t*d).
             _, x, y = xgcd(d, -c)
-            pivots = []
-            if c:
-                pivots.append(-x / c)
-            if d:
-                pivots.append(-y / d)
-            lo = math.floor(min(pivots)) - 2
-            hi = math.ceil(max(pivots)) + 2
-            for t in range(lo, hi + 1):
+            pivots = ([-x / c] if c else []) + ([-y / d] if d else [])
+            for t in range(math.floor(min(pivots)) - 2, math.ceil(max(pivots)) + 3):
                 a, b = x + t * c, y + t * d
-                cand = (max(abs(a), abs(b), abs(c), abs(d)), (a, b, c, d))
-                if best is None or cand < best:
-                    best = cand
-        bound += 1
-        if best is None and bound > 6 * n + 6:
-            raise RuntimeError("no representative found for key %r" % (key,))
-    return IntMatrix2(*best[1])
+                cand = (max(abs(a), abs(b), bound), (a, b, c, d))
+                if held is None or cand < held:
+                    held = cand
+            best[key] = held
+        for g, r in [key for key in unsettled if best[key][0] == bound]:
+            unsettled.remove((g, r))
+            pending[math.gcd(g, n), math.gcd(r, n)] -= 1
+        pending = {ge: left for ge, left in pending.items() if left}
+    return best
 
 
 class CosetTable(Frozen):
     """Representatives and membership index for the right cosets of
-    Gamma0(n) in SL(2,Z).
-
-    Built canonically (identity coset first, minimal-entry lifts) unless an
-    explicit complete list of representatives is supplied.
+    Gamma0(n) in SL(2,Z), built canonically (identity coset first,
+    minimal-entry lifts) unless an explicit complete list is supplied.
+    index() looks (c, d) mod n up in a dict seeded with each coset's key,
+    itself such a pair, and adds each pair it had to compute a key for.
     """
 
-    __slots__ = ("n", "mu", "reps", "_key_of", "_index_of_key")
+    __slots__ = ("n", "mu", "reps", "_index_of_pair")
 
     def __init__(self, n, reps=None):
         if n < 1:
             raise ValueError("level must be positive")
-        key_of = _orbit_keys(n)
-        keys = sorted(set(key_of.values()))
         if reps is None:
-            identity_key = key_of[(0, 1 % n)]
-            ordered = [identity_key] + [k for k in keys if k != identity_key]
-            reps = [I] + [_minimal_rep(n, k, key_of) for k in ordered[1:]]
-        else:
-            reps = list(reps)
-            seen = {}
-            for idx, g in enumerate(reps):
-                if g.det != 1:
-                    raise ValueError("coset representatives must have determinant 1")
-                key = key_of[(g.c % n, g.d % n)]
-                if key in seen:
-                    raise ValueError("representatives %d and %d share a coset" % (seen[key], idx))
-                seen[key] = idx
-            if len(reps) != len(keys):
-                raise ValueError("expected %d representatives, got %d" % (len(keys), len(reps)))
+            best = _minimal_reps(n)
+            identity_key = _p1_key(n, 0, 1)
+            reps = [I] + [IntMatrix2(*best[k][1]) for k in sorted(best) if k != identity_key]
+        reps = tuple(reps)
+        index_of_pair = {}
+        for idx, g in enumerate(reps):
+            if g.det != 1:
+                raise ValueError("coset representatives must have determinant 1")
+            key = _p1_key(n, g.c, g.d)
+            if key in index_of_pair:
+                raise ValueError("representatives %d and %d share a coset" % (index_of_pair[key], idx))
+            index_of_pair[key] = idx
+        if len(reps) != gamma0_index(n):
+            raise ValueError("expected %d representatives, got %d" % (gamma0_index(n), len(reps)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu", len(reps))
-        object.__setattr__(self, "reps", tuple(reps))
-        object.__setattr__(self, "_key_of", key_of)
-        object.__setattr__(
-            self,
-            "_index_of_key",
-            {key_of[(g.c % n, g.d % n)]: i for i, g in enumerate(reps)},
-        )
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "_index_of_pair", index_of_pair)
 
     def index(self, g):
         """The unique j with g in Gamma0(n) * reps[j]; accepts det = +-1."""
         if g.det not in (1, -1):
             raise ValueError("coset lookup needs determinant +-1, got %d" % g.det)
-        return self._index_of_key[self._key_of[(g.c % self.n, g.d % self.n)]]
-
-    def to_json_obj(self):
-        return {"n": self.n, "mu": self.mu, "reps": [g.rows() for g in self.reps]}
+        pair = (g.c % self.n, g.d % self.n)
+        if pair not in self._index_of_pair:
+            self._index_of_pair[pair] = self._index_of_pair[_p1_key(self.n, *pair)]
+        return self._index_of_pair[pair]
 
     def __repr__(self):
         return "CosetTable(n=%d, mu=%d)" % (self.n, self.mu)

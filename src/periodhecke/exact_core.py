@@ -86,10 +86,6 @@ class ExtendedRational(Frozen):
             return cls(int(parts[0]), int(parts[1]))
         raise ValueError("malformed rational %r" % (text,))
 
-    @property
-    def is_infinite(self):
-        return self.den == 0
-
     def __eq__(self, other):
         if not isinstance(other, ExtendedRational):
             return NotImplemented
@@ -105,11 +101,6 @@ class ExtendedRational(Frozen):
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __float__(self):
-        if self.den == 0:
-            return math.inf if self.num > 0 else -math.inf
-        return self.num / self.den
 
     def __str__(self):
         return "%d/%d" % (self.num, self.den)

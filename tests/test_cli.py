@@ -252,6 +252,11 @@ def test_vanishing_reference_solution_exits_two(capsys):
         ("rho", "coset_table", "COSET_LEVEL_CAP"),
         ("hecke-vector", "coset_table", "COSET_LEVEL_CAP"),
         ("verify-all", "run_all_checks", "COSET_LEVEL_CAP"),
+        ("hecke-scalar", "h_tilde", "SCALAR_INDEX_CAP"),
+        ("sm", "gen_sm", "SM_INDEX_CAP"),
+        ("hecke-vector", "coset_table", "VECTOR_INDEX_CAP"),
+        ("check-three-term", "coset_table", "THREE_TERM_INDEX_CAP"),
+        ("verify-all", "run_all_checks", "VERIFY_INDEX_CAP"),
     ],
 )
 def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, cap):
@@ -262,9 +267,11 @@ def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, comm
 
     monkeypatch.setattr(cli, target, forbidden)
     limit = getattr(cli, cap)
-    extra = {"rho": ["--word", "T"], "hecke-vector": ["--m", "2"], "verify-all": ["--m", "2"]}.get(command, [])
-    assert main([command, "--n", str(limit + 1)] + extra) == 2
+    # A level cap is exceeded at --m 2, an index cap at level 1.
+    flag, other = ("--m", ["--n", "1"]) if "INDEX" in cap else ("--n", ["--m", "2"])
+    extra = {"rho": ["--word", "T"], "hecke-vector": other, "check-three-term": other, "verify-all": other}
+    assert main([command, flag, str(limit + 1)] + extra.get(command, [])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--n must be at most %d, got %d" % (limit, limit + 1) in captured.err
+    assert "%s must be at most %d, got %d" % (flag, limit, limit + 1) in captured.err
 

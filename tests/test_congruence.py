@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from periodhecke.congruence import (
     CosetTable,
     PermutationMatrix,
+    _p1_key,
     coset_projection,
     coset_table,
     gamma0_contains,
@@ -51,6 +53,107 @@ def brute_force_coset_count(n, max_words=20000):
             if len(reps) > max_words:
                 raise RuntimeError("runaway closure")
     return len(reps)
+
+
+def orbit_keys(n):
+    """Oracle: map every primitive pair (c, d) mod n to the lex-least
+    member of its orbit under the units of Z/nZ, by listing the orbit."""
+    if n == 1:
+        return {(0, 0): (0, 0)}
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    key_of = {}
+    for c in range(n):
+        for d in range(n):
+            if math.gcd(math.gcd(c, d), n) != 1 or (c, d) in key_of:
+                continue
+            orbit = {(u * c % n, u * d % n) for u in units}
+            key = min(orbit)
+            for pair in orbit:
+                key_of[pair] = key
+    return key_of
+
+
+def shell(bound):
+    """All integer pairs (c, d) with max(|c|, |d|) == bound."""
+    for c in range(-bound, bound + 1):
+        yield c, bound
+        yield c, -bound
+    for d in range(-bound + 1, bound):
+        yield bound, d
+        yield -bound, d
+
+
+def minimal_rep(n, key, key_of):
+    """Oracle: a shell search of its own for one coset, for the
+    determinant-1 matrix with the given orbit key minimizing
+    max(|a|,|b|,|c|,|d|), ties broken lexicographically by (a,b,c,d)."""
+    best = None
+    bound = 1
+    while best is None or bound <= best[0]:
+        for c, d in shell(bound):
+            if math.gcd(c, d) != 1 or key_of[(c % n, d % n)] != key:
+                continue
+            # a*d - b*c = 1 with (a, b) = (x + t*c, y + t*d).
+            _, x, y = xgcd(d, -c)
+            pivots = []
+            if c:
+                pivots.append(-x / c)
+            if d:
+                pivots.append(-y / d)
+            lo = math.floor(min(pivots)) - 2
+            hi = math.ceil(max(pivots)) + 2
+            for t in range(lo, hi + 1):
+                a, b = x + t * c, y + t * d
+                cand = (max(abs(a), abs(b), abs(c), abs(d)), (a, b, c, d))
+                if best is None or cand < best:
+                    best = cand
+        bound += 1
+    return IntMatrix2(*best[1])
+
+
+def oracle_reps(n):
+    """The identity, then the minimal representative of every other orbit
+    key in ascending key order."""
+    key_of = orbit_keys(n)
+    identity_key = key_of[(0, 1 % n)]
+    keys = sorted(set(key_of.values()) - {identity_key})
+    return (I,) + tuple(minimal_rep(n, key, key_of) for key in keys)
+
+
+def test_canonical_reps_match_the_per_coset_search_oracle():
+    for k in range(1, 101):
+        assert coset_table(k).reps == oracle_reps(k), k
+
+
+def test_p1_key_equals_the_orbit_oracle_on_every_primitive_pair():
+    for k in range(1, 121):
+        for (c, d), key in orbit_keys(k).items():
+            assert _p1_key(k, c, d) == key, (k, c, d)
+
+
+def random_unimodular(rng, det, size):
+    """A determinant-det (+-1) matrix with entries of about `size`."""
+    while True:
+        c, d = rng.randint(-size, size), rng.randint(-size, size)
+        g, x, y = xgcd(d, -c)
+        if g == 1:
+            t = rng.randint(-size, size)
+            return IntMatrix2(det * (x + t * c), det * (y + t * d), c, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 45, 97, 128, 166, 210, 250, 268, 400])
+def test_index_agrees_with_the_orbit_oracle_on_large_matrices(n):
+    table = coset_table(n)
+    key_of = orbit_keys(n)
+    index_of_key = {key_of[(g.c % n, g.d % n)]: j for j, g in enumerate(table.reps)}
+    rng = random.Random(400 + n)
+    for det in (1, -1) * 100:
+        g = random_unimodular(rng, det, 10 ** rng.choice([2, 6, 12, 30]))
+        assert g.det == det
+        j = table.index(g)
+        assert j == index_of_key[key_of[(g.c % n, g.d % n)]]
+        if det == 1:
+            assert gamma0_contains(n, g * table.reps[j].inverse())
 
 
 def test_gamma0_contains_examples():

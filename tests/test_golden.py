@@ -29,6 +29,7 @@ CASES = [
     for n, m in VECTOR_PAIRS
     for fmt in ("json", "tsv")
 ] + [
+    ("hecke-vector-110-3.tsv", ["hecke-vector", "--n", "110", "--m", "3", "--format", "tsv"]),
     ("hecke-scalar-1.json", ["hecke-scalar", "--m", "1"]),
     ("hecke-scalar-6.json", ["hecke-scalar", "--m", "6"]),
     ("hecke-scalar-13.tsv", ["hecke-scalar", "--m", "13", "--format", "tsv"]),
@@ -39,9 +40,12 @@ CASES = [
     ("cosets-1.json", ["cosets", "--n", "1"]),
     ("cosets-12.json", ["cosets", "--n", "12"]),
     ("cosets-30.tsv", ["cosets", "--n", "30", "--format", "tsv"]),
+    ("cosets-166.tsv", ["cosets", "--n", "166", "--format", "tsv"]),
+    ("cosets-250.json", ["cosets", "--n", "250"]),
     ("rho-1-TS.json", ["rho", "--n", "1", "--word", "TS"]),
     ("rho-6-TSTpS.json", ["rho", "--n", "6", "--word", "TST'S"]),
     ("rho-12-TpTp.tsv", ["rho", "--n", "12", "--word", "T'T'", "--format", "tsv"]),
+    ("rho-268-STTpSTTT.json", ["rho", "--n", "268", "--word", "STT'STTT"]),
     ("mq-0.json", ["mq", "--q", "0"]),
     ("mq-5-13.json", ["mq", "--q=5/13"]),
     ("mq-7-19.tsv", ["mq", "--q=7/19", "--format", "tsv"]),

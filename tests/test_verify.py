@@ -29,6 +29,35 @@ def test_rotated_column_maps_fail_run_all_checks(monkeypatch, n, m):
     assert "three-term-preserved" in failed(run_all_checks(n, m, s=0.5 + 3j, points=5))
 
 
+def transposed(op):
+    """The row/column transpose of an operator with gcd(m, n) = 1: B moves
+    from cell (j, f_B[j]) to cell (f_B[j], j), so each f_B is inverted."""
+    columns = []
+    for mat, image in op.columns:
+        inverse = [None] * op.mu
+        for j, i in enumerate(image):
+            inverse[i] = j
+        columns.append((mat, tuple(inverse)))
+    return HeckeOperatorMatrix(op.n, op.m, columns)
+
+
+@pytest.mark.parametrize("n,m", [(5, 2), (7, 2), (9, 2), (5, 3), (2, 5), (3, 5), (6, 5), (2, 7)])
+def test_transposed_operator_fails_run_all_checks(monkeypatch, n, m):
+    """The known misses are (2, 3) and (4, 3) (and (3, 2)): there every
+    f_B is an involution, so the transpose is the operator itself and no
+    check can tell them apart."""
+    real = vector_hecke(coset_table(n), m)
+    assert transposed(real) != real
+    monkeypatch.setattr(verify, "vector_hecke", lambda table, m: transposed(real))
+    assert "three-term-preserved" in failed(run_all_checks(n, m, s=0.5 + 3j, points=5))
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (4, 3), (3, 2)])
+def test_transpose_misses_are_operators_equal_to_their_transpose(n, m):
+    real = vector_hecke(coset_table(n), m)
+    assert transposed(real) == real
+
+
 def test_residual_is_measured_against_the_size_of_the_image():
     # At s = 2.5 the weight z^(-5) reaches 1e5 at z = 0.1, so the image
     # is in the millions and rounding alone leaves an absolute residual of
