@@ -15,7 +15,7 @@ import re
 import sys
 from contextlib import contextmanager
 
-from .congruence import coset_table, rho
+from .congruence import coset_table, gamma0_index, rho
 from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME
 from .farey import farey_sequence, lns, m_of_q
 from .hecke import gen_sm, h_tilde, sigma, vector_hecke
@@ -24,8 +24,11 @@ from .verify import residual_and_scale, run_all_checks, sample_points
 
 # Largest accepted levels and Hecke indices, so that no command runs for
 # minutes.  `farey --n` lists about 1.2 n^2 rationals (3 MB of JSON at 500).
-# A level-400 coset table takes under 0.1 s, but the commands on it do work
-# of order mu(n) times the index; each index cap is at most 2 s at level 1.
+# A level-400 coset table takes under 0.1 s; each index cap is at most 2 s
+# at level 1.  The operator commands visit mu(n) * (m + 1) pairs (j, A), so
+# that product has a cap of its own, each a whole run of about 2-3 s at its
+# largest (hecke-vector --n 6 --m 1249, check-three-term --n 36 --m 29,
+# verify-all --n 100 --m 37).
 FAREY_LEVEL_CAP = 500
 COSET_LEVEL_CAP = 400
 SCALAR_INDEX_CAP = 1500
@@ -33,6 +36,9 @@ SM_INDEX_CAP = 500
 VECTOR_INDEX_CAP = 1500
 THREE_TERM_INDEX_CAP = 120
 VERIFY_INDEX_CAP = 250
+VECTOR_SIZE_CAP = 12000
+THREE_TERM_SIZE_CAP = 2200
+VERIFY_SIZE_CAP = 6000
 
 
 class UsageError(ValueError):
@@ -78,6 +84,17 @@ def _capped(value, cap, flag="--n"):
     if value > cap:
         raise UsageError("%s must be at most %d, got %d" % (flag, cap, value))
     return value
+
+
+def _operator_size_capped(args, index_cap, size_cap):
+    """--n and --m within their caps and mu(n) * (m + 1) within size_cap."""
+    n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, index_cap, "--m")
+    size = gamma0_index(n) * (m + 1)
+    if size > size_cap:
+        raise UsageError(
+            "mu(n)*(m+1) must be at most %d, got %d for --n %d --m %d" % (size_cap, size, n, m)
+        )
+    return n, m
 
 
 @contextmanager
@@ -135,10 +152,28 @@ def _tsv_formal_sum(total):
     return [[str(coeff)] + _flat_rows(mat) for coeff, mat in total]
 
 
-def _render(payload, tsv_rows, fmt):
+def _tsv_operator(op):
+    """One row (j, i, 1, B) per term, in the order of the dense view: by
+    row j, then column i, then the key of B.  The cells after i are joined
+    once per B."""
+    by_row = [[] for _ in range(op.mu)]
+    for mat, image in op.columns:
+        tail = "\t".join(["1"] + _flat_rows(mat))
+        for j, i in enumerate(image):
+            if i is not None:
+                by_row[j].append((i, tail))
+    for j, terms in enumerate(by_row):
+        terms.sort(key=lambda term: term[0])
+        for i, tail in terms:
+            yield [str(j), str(i), tail]
+
+
+def _render(payload_of, rows_of, fmt):
+    """Every _cmd_* returns (payload_of, rows_of, code): builders of the
+    JSON payload and of the TSV rows.  Only the requested one is called."""
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return "\n".join("\t".join(row) for row in tsv_rows)
+        return json.dumps(payload_of(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return "\n".join("\t".join(row) for row in rows_of())
 
 
 def _emit(text, out):
@@ -152,65 +187,61 @@ def _emit(text, out):
 def _cmd_farey(args):
     seq = farey_sequence(_capped(args.n, FAREY_LEVEL_CAP))
     payload = [str(r) for r in seq]
-    return payload, [[s] for s in payload], 0
+    return lambda: payload, lambda: [[s] for s in payload], 0
 
 
 def _cmd_lns(args):
     chain = lns(_parse_rational(args.q))
     payload = chain.to_json_obj()
-    return payload, [[s] for s in payload], 0
+    return lambda: payload, lambda: [[s] for s in payload], 0
 
 
 def _cmd_mq(args):
     total = m_of_q(_parse_rational(args.q))
-    return total.to_json_obj(), _tsv_formal_sum(total), 0
+    return total.to_json_obj, lambda: _tsv_formal_sum(total), 0
 
 
 def _cmd_cosets(args):
     table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
-    payload = {"mu": table.mu, "reps": [g.rows() for g in table.reps]}
-    return payload, [_flat_rows(g) for g in table.reps], 0
+    return (
+        lambda: {"mu": table.mu, "reps": [g.rows() for g in table.reps]},
+        lambda: [_flat_rows(g) for g in table.reps],
+        0,
+    )
 
 
 def _cmd_rho(args):
     table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
     perm = rho(table, _parse_word(args.word))
-    payload = list(perm.image)
-    return payload, [[str(j) for j in perm.image]], 0
+    return lambda: list(perm.image), lambda: [[str(j) for j in perm.image]], 0
 
 
 def _cmd_sigma(args):
     g = _parse_matrix(args.g)
     a_mat = _parse_matrix(args.A)
     result = sigma(g, a_mat)
-    return {"sigma": result.rows()}, [_flat_rows(result)], 0
+    return lambda: {"sigma": result.rows()}, lambda: [_flat_rows(result)], 0
 
 
 def _cmd_hecke_scalar(args):
     total = h_tilde(_capped(args.m, SCALAR_INDEX_CAP, "--m"))
-    return total.to_json_obj(), _tsv_formal_sum(total), 0
+    return total.to_json_obj, lambda: _tsv_formal_sum(total), 0
 
 
 def _cmd_hecke_vector(args):
-    n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, VECTOR_INDEX_CAP, "--m")
+    n, m = _operator_size_capped(args, VECTOR_INDEX_CAP, VECTOR_SIZE_CAP)
     op = vector_hecke(coset_table(n), m)
-    rows = [
-        [str(j), str(i), "1"] + _flat_rows(mat)
-        for j, row in enumerate(op.entries)
-        for i, cell in enumerate(row)
-        for mat in cell
-    ]
-    return op.to_json_obj(), rows, 0
+    return op.to_json_obj, lambda: _tsv_operator(op), 0
 
 
 def _cmd_sm(args):
     mats = gen_sm(_capped(args.m, SM_INDEX_CAP, "--m"))
-    return [g.rows() for g in mats], [_flat_rows(g) for g in mats], 0
+    return lambda: [g.rows() for g in mats], lambda: [_flat_rows(g) for g in mats], 0
 
 
 def _cmd_check_three_term(args):
     s = _parse_complex(args.s)
-    n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, THREE_TERM_INDEX_CAP, "--m")
+    n, m = _operator_size_capped(args, THREE_TERM_INDEX_CAP, THREE_TERM_SIZE_CAP)
     table = coset_table(n)
     op = vector_hecke(table, m)
     with _float_range(args.s):
@@ -223,7 +254,7 @@ def _cmd_check_three_term(args):
     relative = worst / largest
     payload = {"max_residual": relative, "points": args.points}
     rows = [["max_residual", repr(relative)], ["points", str(args.points)]]
-    return payload, rows, 0 if relative <= args.tolerance else 1
+    return lambda: payload, lambda: rows, 0 if relative <= args.tolerance else 1
 
 
 def _cmd_check_laplace(args):
@@ -252,7 +283,7 @@ def _cmd_check_laplace(args):
     }
     rows = [[k, repr(payload[k])] for k in sorted(payload)]
     code = 0 if abs(order - 2.0) <= args.order_window else 1
-    return payload, rows, code
+    return lambda: payload, lambda: rows, code
 
 
 def _cmd_check_eta_loop(args):
@@ -274,12 +305,12 @@ def _cmd_check_eta_loop(args):
         ["ratios", " ".join(repr(x) for x in ratios)],
     ]
     code = 0 if all(r > args.min_ratio for r in ratios) else 1
-    return payload, rows, code
+    return lambda: payload, lambda: rows, code
 
 
 def _cmd_verify_all(args):
     s = _parse_complex(args.s)
-    n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, VERIFY_INDEX_CAP, "--m")
+    n, m = _operator_size_capped(args, VERIFY_INDEX_CAP, VERIFY_SIZE_CAP)
     with _float_range(args.s):
         checks = run_all_checks(n, m, s=s, points=args.points, tolerance=args.tolerance)
     all_pass = all(passed for _, passed, _ in checks)
@@ -294,7 +325,7 @@ def _cmd_verify_all(args):
     }
     rows = [[name, "pass" if passed else "FAIL", detail] for name, passed, detail in checks]
     rows.append(["all_pass", "pass" if all_pass else "FAIL", ""])
-    return payload, rows, 0 if all_pass else 1
+    return lambda: payload, lambda: rows, 0 if all_pass else 1
 
 
 def build_parser():
@@ -369,8 +400,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        payload, tsv_rows, code = args.func(args)
-        text = _render(payload, tsv_rows, args.format)
+        payload_of, rows_of, code = args.func(args)
+        text = _render(payload_of, rows_of, args.format)
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -123,8 +123,8 @@ class CosetTable(Frozen):
     """Representatives and membership index for the right cosets of
     Gamma0(n) in SL(2,Z), built canonically (identity coset first,
     minimal-entry lifts) unless an explicit complete list is supplied.
-    index() looks (c, d) mod n up in a dict seeded with each coset's key,
-    itself such a pair, and adds each pair it had to compute a key for.
+    index_of_row() looks (c, d) mod n up in a dict seeded with each coset's
+    key, itself such a pair, and adds each pair it had to compute a key for.
     """
 
     __slots__ = ("n", "mu", "reps", "_index_of_pair")
@@ -156,10 +156,15 @@ class CosetTable(Frozen):
         """The unique j with g in Gamma0(n) * reps[j]; accepts det = +-1."""
         if g.det not in (1, -1):
             raise ValueError("coset lookup needs determinant +-1, got %d" % g.det)
-        pair = (g.c % self.n, g.d % self.n)
-        if pair not in self._index_of_pair:
-            self._index_of_pair[pair] = self._index_of_pair[_p1_key(self.n, *pair)]
-        return self._index_of_pair[pair]
+        return self.index_of_row(g.c, g.d)
+
+    def index_of_row(self, c, d):
+        """The coset of every det +-1 matrix with bottom row (c, d)."""
+        pair = (c % self.n, d % self.n)
+        index = self._index_of_pair.get(pair)
+        if index is None:
+            index = self._index_of_pair[pair] = self._index_of_pair[_p1_key(self.n, *pair)]
+        return index
 
     def __repr__(self):
         return "CosetTable(n=%d, mu=%d)" % (self.n, self.mu)

@@ -126,11 +126,28 @@ HeckeCosetRecord.__doc__ = """One step of coset bookkeeping: A * reps[j] lies in
 Gamma0(n) * reps[phi] * sigma with sigma in X_m."""
 
 
-def _exact_divide(g, m):
-    for entry in g.key:
-        if entry % m != 0:
-            raise ArithmeticError("matrix %r is not divisible by %d" % (g, m))
-    return IntMatrix2(g.a // m, g.b // m, g.c // m, g.d // m)
+def _coset_step(table, a_mat, j):
+    """sigma = sigma_{reps[j]}(A) as (a, b, d) and the index of the coset of
+    A * reps[j] * sigma^-1, in integer arithmetic.
+
+    A * reps[j] = (ga gb; gc gd) gives sigma = (a b; 0 d) with a = gcd(ga, gc)
+    from one extended gcd, d = m / a and b reduced mod d, as in
+    xm_representative.  A * reps[j] * sigma^-1 = A * reps[j] * adj(sigma) / m;
+    every entry must divide exactly, and the bottom row names the coset.
+    """
+    m = a_mat.a * a_mat.d
+    rep = table.reps[j]
+    ga, gb = a_mat.a * rep.a + a_mat.b * rep.c, a_mat.a * rep.b + a_mat.b * rep.d
+    gc, gd = a_mat.d * rep.c, a_mat.d * rep.d
+    a, x, y = xgcd(ga, gc)
+    d = m // a
+    b = (x * gb + y * gd) % d
+    top_right, bottom_right = gb * a - ga * b, gd * a - gc * b
+    if ga * d % m or gc * d % m or top_right % m or bottom_right % m:
+        raise ArithmeticError(
+            "A * reps[%d] * adj(%r) is not divisible by %d" % (j, IntMatrix2(a, b, 0, d), m)
+        )
+    return (a, b, d), table.index_of_row(gc * d // m, bottom_right // m)
 
 
 def phi(table, a_mat, j):
@@ -139,11 +156,8 @@ def phi(table, a_mat, j):
     A * reps[j] * sigma^-1."""
     if not in_xm(a_mat):
         raise ValueError("%r is not an X_m representative" % (a_mat,))
-    m = a_mat.det
-    s = sigma(table.reps[j], a_mat)
-    # A * reps[j] * s^-1 = A * reps[j] * adj(s) / m, unimodular by construction.
-    unimodular = _exact_divide(a_mat * table.reps[j] * s.adjugate(), m)
-    return HeckeCosetRecord(a_mat, j, table.index(unimodular), s)
+    (a, b, d), index = _coset_step(table, a_mat, j)
+    return HeckeCosetRecord(a_mat, j, index, IntMatrix2(a, b, 0, d))
 
 
 def h_tilde(m):
@@ -255,12 +269,13 @@ class HeckeOperatorMatrix(Frozen):
 
     def _dense(self, term):
         """mu x mu lists whose cell (j, i) holds term(B) for each B with
-        f_B[j] == i, in canonical order."""
+        f_B[j] == i, in canonical order; term is called once per B."""
         cells = [[[] for _ in range(self.mu)] for _ in range(self.mu)]
         for mat, image in self.columns:
+            value = term(mat)
             for j, i in enumerate(image):
                 if i is not None:
-                    cells[j][i].append(term(mat))
+                    cells[j][i].append(value)
         return cells
 
     @property
@@ -293,31 +308,48 @@ class HeckeOperatorMatrix(Frozen):
 def vector_hecke(table, m):
     """Assemble the m-th Hecke operator for the given coset table, m prime.
 
-    For each source index j and each A in the defining set (all of X_m, or
-    X_m minus (m 0; 0 1) when m divides the level), the chain sum of
-    sigma = sigma_{reps[j]}(A) applied to 0 is expanded, and each chain
-    matrix B sends row j of the map of B * sigma to the coset of
-    reps[phi] * B^-1.  A (B * sigma, j) pair met twice, as a chain that
-    repeated a matrix would give, raises ArithmeticError.
+    The defining set is all of X_m, or X_m minus (m 0; 0 1) when m divides
+    the level.  The chain sum M(sigma) depends only on sigma in X_m, so each
+    of the m + 1 chains is built once: every link L of chain_matrices(b/d)
+    for sigma = (a b; 0 d) is kept as B = L * sigma and the columns of L^-1.
+    For each row j and each A, _coset_step finds sigma = sigma_{reps[j]}(A)
+    and the coset phi of A * reps[j] * sigma^-1 from one extended gcd and an
+    exact division by m; each link of sigma's chain then sends row j of the
+    map of B to the coset of the bottom row of reps[phi] * L^-1, looked up
+    without building the matrix.  A (B, j) pair met twice, as a chain that
+    repeated a matrix would give, raises ArithmeticError, and so does a
+    sigma whose division by m is not exact.
     """
     if not is_prime(m):
         raise ValueError("vector Hecke operators are defined for prime m only")
     g = math.gcd(m, table.n)
+    xm = gen_xm(m)
     if g == 1:
-        a_set = gen_xm(m)
+        a_set = xm
     elif g == m:
         skip = IntMatrix2(m, 0, 0, 1)
-        a_set = [a for a in gen_xm(m) if a != skip]
+        a_set = [a for a in xm if a != skip]
     else:
         raise ValueError("gcd(%d, %d) must be 1 or %d" % (m, table.n, m))
-
-    def placements():
-        for j in range(table.mu):
-            for a_mat in a_set:
-                record = phi(table, a_mat, j)
-                s = record.sigma
-                target_rep = table.reps[record.phi]
-                for link in chain_matrices(ExtendedRational(s.b, s.d)):
-                    yield link * s, j, table.index(target_rep * link.inverse())
-
-    return HeckeOperatorMatrix(table.n, m, _column_maps(table.mu, placements()))
+    mu = table.mu
+    images = {}
+    chains = {}
+    for s in xm:
+        links = []
+        for link in chain_matrices(ExtendedRational(s.b, s.d)):
+            mat = link * s
+            image = images.setdefault(mat, [None] * mu)
+            # (c, d) * L^-1 = (c*t + d*u, c*v + d*w) for L^-1 = (t v; u w).
+            links.append((mat, image, link.d, -link.c, -link.b, link.a))
+        chains[s.a, s.b, s.d] = links
+    index_of_row = table.index_of_row
+    for j in range(mu):
+        for a_mat in a_set:
+            sigma_key, i = _coset_step(table, a_mat, j)
+            c, d = table.reps[i].c, table.reps[i].d
+            for mat, image, t, u, v, w in chains[sigma_key]:
+                if image[j] is not None:
+                    raise ArithmeticError("%r reaches row %d twice" % (mat, j))
+                image[j] = index_of_row(c * t + d * u, c * v + d * w)
+    columns = [(mat, image) for mat, image in images.items() if image.count(None) < mu]
+    return HeckeOperatorMatrix(table.n, m, columns)

@@ -166,7 +166,7 @@ def test_checks_without_evidence_exit_two(capsys, argv, message):
 def test_non_finite_payload_is_not_printed_as_json(capsys, monkeypatch):
     from periodhecke import cli
 
-    monkeypatch.setattr(cli, "_cmd_farey", lambda args: ({"x": float("nan")}, [["nan"]], 0))
+    monkeypatch.setattr(cli, "_cmd_farey", lambda args: (lambda: {"x": float("nan")}, lambda: [["nan"]], 0))
     assert main(["farey", "--n", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -275,3 +275,33 @@ def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, comm
     assert captured.out == ""
     assert "%s must be at most %d, got %d" % (flag, limit, limit + 1) in captured.err
 
+
+
+@pytest.mark.parametrize(
+    "command,target,cap",
+    [
+        ("hecke-vector", "coset_table", "VECTOR_SIZE_CAP"),
+        ("check-three-term", "coset_table", "THREE_TERM_SIZE_CAP"),
+        ("verify-all", "run_all_checks", "VERIFY_SIZE_CAP"),
+    ],
+)
+def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, cap):
+    from periodhecke import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("%s was started" % target)
+
+    monkeypatch.setattr(cli, target, forbidden)
+    argv = [command, "--n", "400", "--m", "61"]
+    size = 720 * 62  # mu(400) * (61 + 1), each within its own cap
+    assert size > getattr(cli, cap)
+    assert main(argv) == 2
+    assert "must be at most %d, got %d" % (getattr(cli, cap), size) in capsys.readouterr().err
+    monkeypatch.setattr(cli, cap, size - 1)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mu(n)*(m+1) must be at most %d, got %d for --n 400 --m 61" % (size - 1, size) in captured.err
+    monkeypatch.setattr(cli, cap, size)
+    with pytest.raises(AssertionError, match="was started"):
+        main(argv)

@@ -156,6 +156,16 @@ def test_index_agrees_with_the_orbit_oracle_on_large_matrices(n):
             assert gamma0_contains(n, g * table.reps[j].inverse())
 
 
+@pytest.mark.parametrize("n", [1, 2, 12, 45, 97, 128, 166, 210, 250, 268, 400])
+def test_index_of_row_equals_index_on_large_matrices(n):
+    # Two fresh tables, so neither lookup reads a pair the other memoised.
+    by_row, by_matrix = CosetTable(n), CosetTable(n)
+    rng = random.Random(800 + n)
+    for det in (1, -1) * 100:
+        g = random_unimodular(rng, det, 10 ** rng.choice([2, 6, 12, 30]))
+        assert by_row.index_of_row(g.c, g.d) == by_matrix.index(g)
+
+
 def test_gamma0_contains_examples():
     assert gamma0_contains(2, T)
     assert not gamma0_contains(2, S)

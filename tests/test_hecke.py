@@ -4,7 +4,8 @@ import random
 import pytest
 
 from periodhecke.congruence import coset_table, gamma0_contains
-from periodhecke.exact_core import FormalSum, I, IntMatrix2, S, T
+from periodhecke.exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T
+from periodhecke.farey import chain_matrices
 from periodhecke.hecke import (
     HeckeOperatorMatrix,
     divisors,
@@ -357,3 +358,61 @@ def test_h_tilde_builds_one_formal_sum(monkeypatch):
     monkeypatch.setattr(hecke, "FormalSum", Counting)
     assert h_tilde(30) == FormalSum.from_matrices(gen_sm(30))
     assert len(built) == 1
+
+
+def reference_vector_hecke(table, m):
+    """The per-(j, A) assembly that vector_hecke replaced, kept as its
+    oracle: sigma from xm_representative, the coset of A * reps[j] * sigma^-1
+    by matrix products, a chain for every (j, A), and each column from
+    table.index of the matrix reps[phi] * L^-1."""
+    a_set = gen_xm(m)
+    if table.n % m == 0:
+        a_set.remove(IntMatrix2(m, 0, 0, 1))
+    maps = {}
+    for j, rep in enumerate(table.reps):
+        for a_mat in a_set:
+            s = sigma(rep, a_mat)
+            numerator = a_mat * rep * s.adjugate()
+            assert all(entry % m == 0 for entry in numerator.key)
+            target = table.reps[table.index(IntMatrix2(*(entry // m for entry in numerator.key)))]
+            for link in chain_matrices(ExtendedRational(s.b, s.d)):
+                image = maps.setdefault(link * s, [None] * table.mu)
+                assert image[j] is None
+                image[j] = table.index(target * link.inverse())
+    return HeckeOperatorMatrix(table.n, m, list(maps.items()))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 11, 13])
+def test_vector_hecke_equals_the_reference_assembly(m):
+    # Every n <= 60 for m <= 5; for larger m, to keep the oracle's run short,
+    # every n <= 24 and every multiple of m up to 60.
+    for n in [n for n in range(1, 61) if m <= 5 or n <= 24 or n % m == 0]:
+        table = coset_table(n)
+        assert vector_hecke(table, m) == reference_vector_hecke(table, m), (n, m)
+
+
+@pytest.mark.parametrize("n,m", [(1, 5), (30, 7), (114, 5)])
+def test_vector_hecke_builds_one_chain_per_member_of_x_m(monkeypatch, n, m):
+    from periodhecke import hecke
+
+    calls = []
+    real = hecke.chain_matrices
+    monkeypatch.setattr(hecke, "chain_matrices", lambda q: calls.append(q) or real(q))
+    vector_hecke(coset_table(n), m)
+    assert len(calls) == len(gen_xm(m))
+
+
+def test_a_wrong_sigma_fails_the_exact_division(monkeypatch):
+    from periodhecke import hecke
+
+    real = hecke.xgcd
+
+    def off_by_one(a, b):
+        g, x, y = real(a, b)
+        return g, x + 1, y
+
+    monkeypatch.setattr(hecke, "xgcd", off_by_one)
+    with pytest.raises(ArithmeticError, match="not divisible by 3"):
+        vector_hecke(coset_table(2), 3)
+    with pytest.raises(ArithmeticError, match="not divisible by 3"):
+        phi(coset_table(1), IntMatrix2(1, 1, 0, 3), 0)
