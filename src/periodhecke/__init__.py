@@ -44,12 +44,8 @@ from .hecke import (
     h_tilde,
     in_sm,
     in_xm,
-    is_prime,
     phi,
-    scalar_hecke_sum,
     sigma,
-    t_of_p,
-    u_of_q,
     vector_hecke,
     xm_representative,
 )

@@ -18,17 +18,18 @@ from contextlib import contextmanager
 from .congruence import coset_table, gamma0_index, rho
 from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME
 from .farey import farey_sequence, lns, m_of_q
-from .hecke import gen_sm, h_tilde, sigma, vector_hecke
+from .hecke import divisors, gen_sm, h_tilde, sigma, vector_hecke
 from .numeric import cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
 from .verify import residual_and_scale, run_all_checks, sample_points
 
 # Largest accepted levels and Hecke indices, so that no command runs for
 # minutes.  `farey --n` lists about 1.2 n^2 rationals (3 MB of JSON at 500).
 # A level-400 coset table takes under 0.1 s; each index cap is at most 2 s
-# at level 1.  The operator commands visit mu(n) * (m + 1) pairs (j, A), so
-# that product has a cap of its own, each a whole run of about 2-3 s at its
-# largest (hecke-vector --n 6 --m 1249, check-three-term --n 36 --m 29,
-# verify-all --n 100 --m 37).
+# at level 1.  The operator commands visit mu(n) * sigma(m) pairs (j, A),
+# sigma(m) the divisor sum, so that product has a cap of its own.  The
+# admitted runs with the largest mu(n) * |S_m| have prime m and take about
+# 2.4 s (hecke-vector --n 7 --m 1499), 5.5 s (check-three-term --n 19
+# --m 109) and 4.8 s (verify-all --n 23 --m 241) as whole runs.
 FAREY_LEVEL_CAP = 500
 COSET_LEVEL_CAP = 400
 SCALAR_INDEX_CAP = 1500
@@ -87,12 +88,14 @@ def _capped(value, cap, flag="--n"):
 
 
 def _operator_size_capped(args, index_cap, size_cap):
-    """--n and --m within their caps and mu(n) * (m + 1) within size_cap."""
+    """--n and --m within their caps and mu(n) * sigma(m) within size_cap."""
     n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, index_cap, "--m")
-    size = gamma0_index(n) * (m + 1)
+    if m < 1:
+        raise UsageError("Hecke index must be positive, got %d" % m)
+    size = gamma0_index(n) * sum(divisors(m))
     if size > size_cap:
         raise UsageError(
-            "mu(n)*(m+1) must be at most %d, got %d for --n %d --m %d" % (size_cap, size, n, m)
+            "mu(n)*sigma(m) must be at most %d, got %d for --n %d --m %d" % (size_cap, size, n, m)
         )
     return n, m
 

@@ -1,6 +1,7 @@
-"""Hecke sums on upper-triangular matrices, the coset bookkeeping maps
-sigma_g and phi_A, the scalar operator sum on period functions, and the
-assembly of the vector-valued Hecke operator matrix for Gamma0(n).
+"""The upper-triangular sets X_m and their normal form, the coset
+bookkeeping maps sigma_g and phi_A, the scalar operator sum on period
+functions, and the assembly of the vector-valued Hecke operator matrix for
+Gamma0(n).
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ from .farey import chain_matrices
 
 __all__ = [
     "divisors",
-    "is_prime",
     "gen_xm",
     "in_xm",
-    "t_of_p",
-    "u_of_q",
     "xm_representative",
     "sigma",
     "HeckeCosetRecord",
@@ -25,7 +23,6 @@ __all__ = [
     "h_tilde",
     "gen_sm",
     "in_sm",
-    "scalar_hecke_sum",
     "HeckeOperatorMatrix",
     "vector_hecke",
 ]
@@ -42,17 +39,6 @@ def divisors(m):
                 large.append(m // d)
         d += 1
     return small + large[::-1]
-
-
-def is_prime(m):
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def gen_xm(m):
@@ -73,22 +59,6 @@ def in_xm(g, m=None):
     if g.c != 0 or g.d <= g.b or g.b < 0 or g.a <= 0:
         return False
     return m is None or g.det == m
-
-
-def t_of_p(p):
-    """The Hecke sum over all of X_p, for p prime (used when p does not
-    divide the level)."""
-    if not is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    return FormalSum.from_matrices(gen_xm(p))
-
-
-def u_of_q(q):
-    """The Hecke sum over (1 b; 0 q), 0 <= b < q, for q prime (used when q
-    divides the level); equals X_q minus the term (q 0; 0 1)."""
-    if not is_prime(q):
-        raise ValueError("%d is not prime" % q)
-    return FormalSum.from_matrices(IntMatrix2(1, b, 0, q) for b in range(q))
 
 
 def xm_representative(g):
@@ -205,11 +175,6 @@ def gen_sm(m):
     return mats
 
 
-def scalar_hecke_sum(m):
-    """The classical level-1 Hecke operator as the formal sum of X_m."""
-    return FormalSum.from_matrices(gen_xm(m))
-
-
 def _column_maps(mu, placements):
     """Collect (B, j, i) placements into one length-mu column map per B;
     a B that reaches row j twice raises ArithmeticError."""
@@ -306,12 +271,14 @@ class HeckeOperatorMatrix(Frozen):
 
 
 def vector_hecke(table, m):
-    """Assemble the m-th Hecke operator for the given coset table, m prime.
+    """Assemble the m-th Hecke operator for the given coset table, m >= 1.
 
-    The defining set is all of X_m, or X_m minus (m 0; 0 1) when m divides
-    the level.  The chain sum M(sigma) depends only on sigma in X_m, so each
-    of the m + 1 chains is built once: every link L of chain_matrices(b/d)
-    for sigma = (a b; 0 d) is kept as B = L * sigma and the columns of L^-1.
+    The defining set is {A = (a b; 0 d) in X_m : gcd(a, n) = 1}, the usual
+    one for T_m on Gamma0(n): all of X_m when gcd(m, n) = 1, and T_1 is the
+    identity.  The chain sum M(sigma) depends only on sigma in X_m, so the
+    chain of each of the |X_m| members is built once: every link L of
+    chain_matrices(b/d) for sigma = (a b; 0 d) is kept as B = L * sigma and
+    the columns of L^-1.
     For each row j and each A, _coset_step finds sigma = sigma_{reps[j]}(A)
     and the coset phi of A * reps[j] * sigma^-1 from one extended gcd and an
     exact division by m; each link of sigma's chain then sends row j of the
@@ -320,17 +287,10 @@ def vector_hecke(table, m):
     repeated a matrix would give, raises ArithmeticError, and so does a
     sigma whose division by m is not exact.
     """
-    if not is_prime(m):
-        raise ValueError("vector Hecke operators are defined for prime m only")
-    g = math.gcd(m, table.n)
+    if m < 1:
+        raise ValueError("Hecke index must be positive")
     xm = gen_xm(m)
-    if g == 1:
-        a_set = xm
-    elif g == m:
-        skip = IntMatrix2(m, 0, 0, 1)
-        a_set = [a for a in xm if a != skip]
-    else:
-        raise ValueError("gcd(%d, %d) must be 1 or %d" % (m, table.n, m))
+    a_set = [a for a in xm if math.gcd(a.a, table.n) == 1]
     mu = table.mu
     images = {}
     chains = {}

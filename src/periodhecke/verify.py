@@ -1,7 +1,7 @@
 """Instance-level invariant suite behind the CLI's verify-all command.
 
 Each check returns (name, passed, detail); the set is parameterized by the
-level n and the prime Hecke index m, mirroring the exact and numeric
+level n and the Hecke index m >= 1, mirroring the exact and numeric
 properties the library is built around.
 """
 
@@ -58,8 +58,8 @@ def residual_and_scale(psi, table, s, zetas):
 
 
 def run_all_checks(n, m, s=1.0, points=25, tolerance=1e-9, seed=0):
-    """Run the invariant suite for level n and prime index m; returns a
-    list of (name, passed, detail) triples."""
+    """Run the invariant suite for level n and Hecke index m >= 1; returns
+    a list of (name, passed, detail) triples."""
     rng = random.Random(seed)
     table = coset_table(n)
     checks = []

@@ -29,6 +29,7 @@ CASES = [
     ("sigma", ["sigma", "--g", "0,-1,1,0", "--A", "1,0,0,2"]),
     ("hecke-scalar", ["hecke-scalar", "--m", "4"]),
     ("hecke-vector", ["hecke-vector", "--n", "2", "--m", "3"]),
+    ("hecke-vector", ["hecke-vector", "--n", "3", "--m", "1"]),
     ("sm", ["sm", "--m", "4"]),
     ("check-three-term", ["check-three-term", "--n", "2", "--m", "3", "--points", "10"]),
     ("check-laplace", ["check-laplace", "--points", "3"]),
@@ -37,7 +38,14 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+# A case is named after its schema, with its flags added when the schema
+# already has a case.
+CASE_IDS = []
+for name, argv in CASES:
+    CASE_IDS.append(" ".join([name] + argv[1:]) if name in CASE_IDS else name)
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=CASE_IDS)
 def test_subcommand_emits_valid_json(capsys, name, argv):
     code, out = run_cli(capsys, argv)
     assert code == 0
@@ -92,7 +100,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    assert main(["hecke-vector", "--n", "2", "--m", "4"]) == 2
+    assert main(["hecke-vector", "--n", "2", "--m", "0"]) == 2
     assert main(["lns", "--q", "1/2/3"]) == 2
     assert main(["mq", "--q", "3/2"]) == 2
     assert main(["sigma", "--g", "1,0,0", "--A", "1,0,0,2"]) == 2
@@ -100,6 +108,12 @@ def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["farey"]) == 2  # missing required flag
     capsys.readouterr()
+    for command in ("hecke-vector", "check-three-term", "verify-all"):
+        for m in ("0", "-4"):
+            assert main([command, "--n", "2", "--m", m]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Hecke index must be positive" in captured.err
 
 
 def test_check_failure_exits_one(capsys):
@@ -293,7 +307,7 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
 
     monkeypatch.setattr(cli, target, forbidden)
     argv = [command, "--n", "400", "--m", "61"]
-    size = 720 * 62  # mu(400) * (61 + 1), each within its own cap
+    size = 720 * 62  # mu(400) * sigma(61), each within its own cap
     assert size > getattr(cli, cap)
     assert main(argv) == 2
     assert "must be at most %d, got %d" % (getattr(cli, cap), size) in capsys.readouterr().err
@@ -301,7 +315,23 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "mu(n)*(m+1) must be at most %d, got %d for --n 400 --m 61" % (size - 1, size) in captured.err
+    assert "mu(n)*sigma(m) must be at most %d, got %d for --n 400 --m 61" % (size - 1, size) in captured.err
     monkeypatch.setattr(cli, cap, size)
     with pytest.raises(AssertionError, match="was started"):
         main(argv)
+
+
+def test_the_size_cap_counts_every_member_of_x_m(capsys, monkeypatch):
+    # mu(6) * (240 + 1) = 2892 is under the cap, but the operator visits
+    # mu(6) * sigma(240) = 12 * 744 = 8928 pairs (j, A).
+    from periodhecke import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_all_checks was started")
+
+    monkeypatch.setattr(cli, "run_all_checks", forbidden)
+    assert 12 * 241 <= cli.VERIFY_SIZE_CAP < 12 * 744
+    assert main(["verify-all", "--n", "6", "--m", "240"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mu(n)*sigma(m) must be at most %d, got 8928 for --n 6 --m 240" % cli.VERIFY_SIZE_CAP in captured.err

@@ -212,7 +212,7 @@ def test_apply_hecke_scalar_eigenfunction():
     # 1/z is a simultaneous eigenfunction at level 1: the image is sigma(m)/z.
     table = coset_table(1)
     psi = constant_lift(reciprocal, 1)
-    for m, eig in [(2, 3), (3, 4), (5, 6)]:
+    for m, eig in [(1, 1), (2, 3), (3, 4), (5, 6), (4, 7), (6, 12), (12, 28)]:
         op = vector_hecke(table, m)
         for zeta in (0.3, 1.0, 2.7):
             (val,) = apply_hecke_numeric(op, psi, 1, zeta)
@@ -259,7 +259,10 @@ def worst_relative_residual(op, table, s, points=(0.3, 1.0, 2.7)):
     return worst
 
 
-CUSP_PAIRS = [(2, 3), (2, 2), (3, 2), (4, 3), (6, 3), (6, 5), (9, 2), (5, 5)]
+CUSP_PAIRS = [
+    (2, 3), (2, 2), (3, 2), (4, 3), (6, 3), (6, 5), (9, 2), (5, 5),
+    (2, 4), (4, 4), (9, 6), (12, 6), (8, 8), (30, 12),
+]
 
 
 @pytest.mark.parametrize("s", [0.5 + 3j, 1], ids=["s=0.5+3i", "s=1"])
@@ -267,6 +270,43 @@ CUSP_PAIRS = [(2, 3), (2, 2), (3, 2), (4, 3), (6, 3), (6, 5), (9, 2), (5, 5)]
 def test_hecke_image_of_cusp_solutions_solves_three_term(n, m, s):
     table = coset_table(n)
     assert worst_relative_residual(vector_hecke(table, m), table, s) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 9, 12])
+def test_hecke_operators_satisfy_the_hecke_algebra_relations(n):
+    """On the cusp solution, T_2 T_3 = T_3 T_2 = T_6, T_p T_p = T_{p^2} +
+    [p does not divide n] p T_1 for p = 2, 3, and T_2 T_6 = T_12 +
+    [2 does not divide n] 2 T_3, each within 1e-11 of max |psi|.  The
+    slash action carries det^s, so the scalar matrix p*I acts trivially.
+
+    The three-term residual of an image cannot tell the defining sets
+    apart, but these relations can: all of X_m, or the rules "drop
+    (m 0; 0 1) when m | n" and "drop a = m when gcd(m, n) > 1", miss them
+    by O(1).  The adjoint rule gcd(d, n) = 1 satisfies them too; the golden
+    files hecke-vector-2-2 and hecke-vector-13-13 are what rule it out.
+    """
+    table = coset_table(n)
+    points = (0.3, 1.0, 2.7)
+    ops = {m: vector_hecke(table, m) for m in (2, 3, 4, 6, 9, 12)}
+    c2, c3 = (0 if n % p == 0 else p for p in (2, 3))
+
+    def plus(f, c, g):
+        return lambda z: [a + c * b for a, b in zip(f(z), g(z))]
+
+    for s in (1, 2.5, 0.5 + 3j):
+        psi = cusp_solution(table, s)
+        t = lambda m, f: hecke_image(ops[m], f, s)
+        relations = [
+            (t(2, t(3, psi)), t(6, psi)),
+            (t(3, t(2, psi)), t(6, psi)),
+            (t(2, t(2, psi)), plus(t(4, psi), c2, psi)),
+            (t(3, t(3, psi)), plus(t(9, psi), c3, psi)),
+            (t(2, t(6, psi)), plus(t(12, psi), c2, t(3, psi))),
+        ]
+        largest = max(abs(x) for z in points for x in psi(z))
+        for k, (lhs, rhs) in enumerate(relations):
+            error = max(abs(a - b) for z in points for a, b in zip(lhs(z), rhs(z)))
+            assert error <= 1e-11 * largest, (n, s, k, error / largest)
 
 
 @pytest.mark.parametrize("n,m", [(4, 3), (6, 3), (5, 5)])
