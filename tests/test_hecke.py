@@ -66,7 +66,6 @@ def test_xm_examples():
         IntMatrix2(1, 1, 0, 2),
         IntMatrix2(2, 0, 0, 1),
     ]
-    assert len(gen_xm(4)) == 7
     assert len(gen_xm(6)) == 12
 
 
@@ -76,6 +75,16 @@ def test_xm_size_is_divisor_sum():
         assert len(mats) == sigma_divisor_sum(m)
         for g in mats:
             assert in_xm(g, m)
+
+
+def test_scalar_hecke_sum():
+    # The scalar T_m is the formal sum over X_m: the identity for m = 1, the
+    # three matrices of determinant 2 for m = 2, and sigma(4) = 7 terms for m = 4.
+    assert FormalSum.from_matrices(gen_xm(1)) == FormalSum.from_matrices([I])
+    assert FormalSum.from_matrices(gen_xm(2)) == FormalSum.from_matrices(
+        [IntMatrix2(1, 0, 0, 2), IntMatrix2(1, 1, 0, 2), IntMatrix2(2, 0, 0, 1)]
+    )
+    assert len(FormalSum.from_matrices(gen_xm(4))) == 7
 
 
 def test_xm_representative_normalizes_left_cosets():
