@@ -17,7 +17,6 @@ from .exact_core import (
     xgcd,
 )
 from .farey import (
-    LeftNeighborSequence,
     chain_matrices,
     farey_sequence,
     is_minimal_partition,

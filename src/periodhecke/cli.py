@@ -28,8 +28,9 @@ from .verify import residual_and_scale, run_all_checks, sample_points
 # at level 1.  The operator commands visit mu(n) * sigma(m) pairs (j, A),
 # sigma(m) the divisor sum, so that product has a cap of its own.  The
 # admitted runs with the largest mu(n) * |S_m| have prime m and take about
-# 2.4 s (hecke-vector --n 7 --m 1499), 5.5 s (check-three-term --n 19
-# --m 109) and 4.8 s (verify-all --n 23 --m 241) as whole runs.
+# 2.0 s (hecke-vector --n 7 --m 1499), 3.6 s (check-three-term --n 19
+# --m 109) and 2.5 s (verify-all --n 23 --m 241) as whole runs (CPU time,
+# best of 3, Python 3.11 on a shared 2-core VM).
 FAREY_LEVEL_CAP = 500
 COSET_LEVEL_CAP = 400
 SCALAR_INDEX_CAP = 1500
@@ -194,8 +195,7 @@ def _cmd_farey(args):
 
 
 def _cmd_lns(args):
-    chain = lns(_parse_rational(args.q))
-    payload = chain.to_json_obj()
+    payload = [str(r) for r in lns(_parse_rational(args.q))]
     return lambda: payload, lambda: [[s] for s in payload], 0
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from .exact_core import (
     ExtendedRational,
     FormalSum,
-    Frozen,
     IntMatrix2,
     MINUS_INFINITY,
     INFINITY,
@@ -26,7 +25,6 @@ __all__ = [
     "level",
     "farey_sequence",
     "left_neighbor",
-    "LeftNeighborSequence",
     "lns",
     "chain_matrices",
     "m_of_q",
@@ -85,46 +83,10 @@ def left_neighbor(q):
     return ExtendedRational((a * r - 1) // b, r)
 
 
-class LeftNeighborSequence(Frozen):
-    """The ascending chain -1/0 = y_0 < y_1 < ... < y_L = q obtained by
-    iterating the left-neighbor map from q down to -1/0."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(entries))
-
-    @property
-    def steps(self):
-        """The number L of left-neighbor steps."""
-        return len(self.entries) - 1
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, LeftNeighborSequence):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def to_json_obj(self):
-        return [str(r) for r in self.entries]
-
-    def __repr__(self):
-        return "LeftNeighborSequence(%r)" % (list(self.entries),)
-
-
 def lns(q):
-    """Left-neighbor sequence of q in Q union {+1/0}.
+    """Left-neighbor sequence of q in Q union {+1/0}: the ascending tuple
+    -1/0 = y_0 < y_1 < ... < y_L = q obtained by iterating left_neighbor
+    from q down to -1/0, so the chain takes len(lns(q)) - 1 steps.
 
     Terminates because the level strictly drops at every step until the
     chain reaches -1/0.
@@ -134,8 +96,7 @@ def lns(q):
     chain = [q]
     while chain[-1] != MINUS_INFINITY:
         chain.append(left_neighbor(chain[-1]))
-    chain.reverse()
-    return LeftNeighborSequence(chain)
+    return tuple(reversed(chain))
 
 
 def chain_matrices(q):
@@ -148,10 +109,10 @@ def chain_matrices(q):
     """
     if q.den == 0 or not (ZERO <= q < ONE):
         raise ValueError("m_of_q is defined for rationals in [0, 1)")
-    entries = lns(q).entries
+    chain = lns(q)
     return [
         IntMatrix2(cur.den, -cur.num, prev.den, -prev.num)
-        for prev, cur in zip(entries, entries[1:])
+        for prev, cur in zip(chain, chain[1:])
     ]
 
 
@@ -162,7 +123,7 @@ def m_of_q(q):
 
 def is_minimal_partition(seq):
     """True iff the chain's denominators satisfy 0 = b_0 < b_1 < ... < b_L."""
-    dens = [r.den for r in seq.entries]
+    dens = [r.den for r in seq]
     if not dens or dens[0] != 0:
         return False
     return all(x < y for x, y in zip(dens, dens[1:]))

@@ -29,7 +29,9 @@ __all__ = [
 
 
 def divisors(m):
-    """Positive divisors of m, ascending."""
+    """Positive divisors of m >= 1, ascending."""
+    if m < 1:
+        raise ValueError("divisors are taken of a positive integer, got %d" % m)
     small, large = [], []
     d = 1
     while d * d <= m:

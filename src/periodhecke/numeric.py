@@ -33,9 +33,9 @@ __all__ = [
 _TRANSFER_PERM_WORD = IntMatrix2(-1, 1, 1, 0)
 
 
-def _slash_factor(mat, s, zeta):
-    """The pair (det^s (c*zeta+d)^(-2s), (a*zeta+b)/(c*zeta+d)) for a
-    matrix with nonnegative entries, positive determinant, and zeta > 0."""
+def slash_eval(f, mat, s, zeta):
+    """(det)^s (c*zeta+d)^(-2s) f((a*zeta+b)/(c*zeta+d)) for a matrix with
+    nonnegative entries, positive determinant, and zeta > 0."""
     det = mat.det
     if det <= 0:
         raise ValueError("slash action needs positive determinant, got %d" % det)
@@ -44,14 +44,7 @@ def _slash_factor(mat, s, zeta):
     if not zeta > 0:
         raise ValueError("slash action is evaluated on (0, infinity)")
     denom = mat.c * zeta + mat.d
-    return det ** s * denom ** (-2 * s), (mat.a * zeta + mat.b) / denom
-
-
-def slash_eval(f, mat, s, zeta):
-    """(det)^s (c*zeta+d)^(-2s) f((a*zeta+b)/(c*zeta+d)) for a matrix with
-    nonnegative entries, positive determinant, and zeta > 0."""
-    factor, point = _slash_factor(mat, s, zeta)
-    return factor * f(point)
+    return det ** s * denom ** (-2 * s) * f((mat.a * zeta + mat.b) / denom)
 
 
 def constant_lift(f, mu):
@@ -90,6 +83,21 @@ def _rho_cached(table, word):
     return rho(table, word)
 
 
+def _defect(psi, table, zeta, word, other):
+    """Componentwise psi(zeta) - rho(T^-1) psi(zeta+1) - c rho(word) psi(x)
+    at zeta > 0, where (c, x) = other(zeta) is computed after the check:
+    x has a pole at zeta = 0 or zeta = -1."""
+    if not zeta > 0:
+        raise ValueError("residuals are evaluated on (0, infinity)")
+    c, x = other(zeta)
+    perm_t = _rho_cached(table, T.inverse())
+    perm_w = _rho_cached(table, word)
+    base = psi(zeta)
+    shifted = perm_t.apply(psi(zeta + 1))
+    moved = perm_w.apply(psi(x))
+    return [base[j] - shifted[j] - c * moved[j] for j in range(table.mu)]
+
+
 def three_term_residual(psi, table, s, zeta):
     """Componentwise defect of the three-term equation at zeta > 0:
 
@@ -97,15 +105,7 @@ def three_term_residual(psi, table, s, zeta):
 
     Zero for period(-like) functions with spectral parameter s.
     """
-    if not zeta > 0:
-        raise ValueError("residuals are evaluated on (0, infinity)")
-    perm_t = _rho_cached(table, T.inverse())
-    perm_tp = _rho_cached(table, T_PRIME.inverse())
-    base = psi(zeta)
-    shifted = perm_t.apply(psi(zeta + 1))
-    folded = perm_tp.apply(psi(zeta / (zeta + 1)))
-    factor = (zeta + 1) ** (-2 * s)
-    return [base[j] - shifted[j] - factor * folded[j] for j in range(table.mu)]
+    return _defect(psi, table, zeta, T_PRIME.inverse(), lambda z: ((z + 1) ** (-2 * s), z / (z + 1)))
 
 
 def transfer_residual(psi, table, s, sign, zeta):
@@ -116,15 +116,7 @@ def transfer_residual(psi, table, s, sign, zeta):
     with M = (0 1; 1 0); sign is +1 or -1."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not zeta > 0:
-        raise ValueError("residuals are evaluated on (0, infinity)")
-    perm_t = _rho_cached(table, T.inverse())
-    perm_m = _rho_cached(table, _TRANSFER_PERM_WORD)
-    base = psi(zeta)
-    shifted = perm_t.apply(psi(zeta + 1))
-    swapped = perm_m.apply(psi((zeta + 1) / zeta))
-    factor = zeta ** (-2 * s)
-    return [base[j] - shifted[j] - sign * factor * swapped[j] for j in range(table.mu)]
+    return _defect(psi, table, zeta, _TRANSFER_PERM_WORD, lambda z: (sign * z ** (-2 * s), (z + 1) / z))
 
 
 def r_zeta(z, zeta):
@@ -182,12 +174,19 @@ def eta_line_integral(u, v, path, steps=10000, fd_step=1e-3):
 
 
 def apply_hecke_numeric(op, psi, s, zeta):
-    """Evaluate the operator on a vector handle at zeta > 0: psi is slashed
-    once by each matrix B, and row j gathers component f_B[j] of it."""
+    """Evaluate a HeckeOperatorMatrix on a vector handle at zeta > 0: psi
+    is slashed once by each matrix B, and row j gathers component f_B[j] of
+    it.  The operator's constructor guarantees that every B lies in S_m, so
+    det B = m, the entries are nonnegative and the slash needs no check per
+    matrix; use slash_eval for any other matrix."""
+    if not zeta > 0:
+        raise ValueError("slash action is evaluated on (0, infinity)")
+    scale = op.m ** s
     out = [0j] * op.mu
     for mat, image in op.columns:
-        factor, point = _slash_factor(mat, s, zeta)
-        values = psi(point)
+        denom = mat.c * zeta + mat.d
+        factor = scale * denom ** (-2 * s)
+        values = psi((mat.a * zeta + mat.b) / denom)
         for j, i in enumerate(image):
             if i is not None:
                 out[j] += factor * values[i]

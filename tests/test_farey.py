@@ -12,7 +12,6 @@ from periodhecke.exact_core import (
     ZERO,
 )
 from periodhecke.farey import (
-    LeftNeighborSequence,
     farey_sequence,
     is_minimal_partition,
     left_neighbor,
@@ -96,11 +95,11 @@ def test_level_descent():
 
 
 def test_lns_examples():
-    assert lns(ZERO).entries == (MINUS_INFINITY, ZERO)
-    assert lns(ZERO).steps == 1
-    assert lns(rat(1, 2)).entries == (MINUS_INFINITY, ZERO, rat(1, 2))
-    assert lns(rat(2, 3)).entries == (MINUS_INFINITY, ZERO, rat(1, 2), rat(2, 3))
-    assert lns(rat(2, 3)).steps == 3
+    assert lns(ZERO) == (MINUS_INFINITY, ZERO)
+    assert len(lns(ZERO)) - 1 == 1
+    assert lns(rat(1, 2)) == (MINUS_INFINITY, ZERO, rat(1, 2))
+    assert lns(rat(2, 3)) == (MINUS_INFINITY, ZERO, rat(1, 2), rat(2, 3))
+    assert len(lns(rat(2, 3))) - 1 == 3
 
 
 def test_lns_structure():
@@ -108,9 +107,9 @@ def test_lns_structure():
         if q == MINUS_INFINITY:
             continue
         chain = lns(q)
-        assert chain.entries[0] == MINUS_INFINITY
-        assert chain.entries[-1] == q
-        for prev, cur in zip(chain.entries, chain.entries[1:]):
+        assert chain[0] == MINUS_INFINITY
+        assert chain[-1] == q
+        for prev, cur in zip(chain, chain[1:]):
             assert prev < cur
             # Orientation: consecutive pairs are Farey neighbors with det -1.
             det = prev.num * cur.den - cur.num * prev.den
@@ -176,10 +175,10 @@ def test_m_of_q_matches_inverted_pair_matrices():
     for q in brute_force_farey(12):
         if q.den == 0 or not (ZERO <= q < rat(1)):
             continue
-        entries = lns(q).entries
+        chain = lns(q)
         via_inverse = [
             IntMatrix2(-prev.num, cur.num, -prev.den, cur.den).inverse()
-            for prev, cur in zip(entries, entries[1:])
+            for prev, cur in zip(chain, chain[1:])
         ]
         assert m_of_q(q) == FormalSum.from_matrices(via_inverse)
 
@@ -199,10 +198,10 @@ def test_chain_endpoints():
     for q in brute_force_farey(12):
         if q.den == 0 or not (ZERO <= q < rat(1)):
             continue
-        entries = lns(q).entries
+        chain = lns(q)
         links = [
             IntMatrix2(cur.den, -cur.num, prev.den, -prev.num)
-            for prev, cur in zip(entries, entries[1:])
+            for prev, cur in zip(chain, chain[1:])
         ]
         assert links[0].inverse() == I
         assert links[-1].inverse().moebius(ZERO) == q
@@ -255,7 +254,7 @@ def test_nonnegativity_and_dominance_for_arbitrary_positive_diagonal():
 def test_is_minimal_partition():
     assert is_minimal_partition(lns(rat(2, 3)))
     assert is_minimal_partition(lns(ZERO))
-    bogus = LeftNeighborSequence([MINUS_INFINITY, rat(1, 2), ZERO])
+    bogus = (MINUS_INFINITY, rat(1, 2), ZERO)
     assert not is_minimal_partition(bogus)
 
 
@@ -266,9 +265,11 @@ def test_lns_minimal_on_unit_interval():
         assert is_minimal_partition(lns(q))
 
 
-def test_lns_json():
-    assert lns(rat(1, 2)).to_json_obj() == ["-1/0", "0/1", "1/2"]
+def test_lns_json(capsys):
+    from periodhecke import cli
 
+    assert cli.main(["lns", "--q", "1/2"]) == 0
+    assert capsys.readouterr().out == '["-1/0","0/1","1/2"]\n'
 
 
 def test_chains_build_no_farey_table(monkeypatch):
@@ -287,7 +288,7 @@ def test_chains_build_no_farey_table(monkeypatch):
             super().__init__(num, den)
 
     monkeypatch.setattr(farey, "ExtendedRational", Counting)
-    assert lns(rat(262, 263)).steps == 263
+    assert len(lns(rat(262, 263))) - 1 == 263
     assert len(made) <= 263
     made.clear()
     assert len(h_tilde(62)) == 732

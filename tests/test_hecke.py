@@ -57,6 +57,10 @@ def brute_force_sigma(g, a_mat):
 
 def test_divisors_and_primality():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(1) == [1]
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            divisors(m)
 
 
 def test_xm_examples():

@@ -87,8 +87,18 @@ def test_three_term_residual_constant_lift(n):
 
 
 def test_three_term_rejects_nonpositive_point():
-    with pytest.raises(ValueError):
-        three_term_residual(constant_lift(reciprocal, 1), coset_table(1), 1, 0.0)
+    # zeta = 0 and zeta = -1 are the poles of (zeta+1)/zeta and
+    # zeta/(zeta+1): each check has to come before either quotient.
+    table = coset_table(1)
+    psi = constant_lift(reciprocal, 1)
+    op = vector_hecke(table, 2)
+    for zeta in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            three_term_residual(psi, table, 1, zeta)
+        with pytest.raises(ValueError):
+            transfer_residual(psi, table, 1, 1, zeta)
+        with pytest.raises(ValueError):
+            apply_hecke_numeric(op, psi, 1, zeta)
 
 
 def test_transfer_residual_signs():

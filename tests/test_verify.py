@@ -1,9 +1,11 @@
+import math
+
 import pytest
 
 from periodhecke import verify
 from periodhecke.congruence import coset_table
 from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
-from periodhecke.numeric import cusp_solution, hecke_image
+from periodhecke.numeric import cusp_solution, hecke_image, three_term_residual
 from periodhecke.verify import residual_and_scale, run_all_checks, sample_points
 
 
@@ -80,3 +82,55 @@ def test_transfer_check_keeps_its_s_equal_one_reference():
 def test_a_vanishing_reference_solution_is_not_a_pass():
     # At level 1 and s = 0 the reference w - z^0 rho(S) w is identically 0.
     assert {"three-term-input", "three-term-preserved"} <= failed(run_all_checks(1, 2, s=0, points=5))
+
+
+@pytest.mark.parametrize("n,m", [(5, 3), (1, 7)])
+def test_dropping_one_matrix_fails_the_entry_conditions(monkeypatch, n, m):
+    def dropped(table, m):
+        op = vector_hecke(table, m)
+        return HeckeOperatorMatrix(op.n, op.m, op.columns[1:])
+
+    monkeypatch.setattr(verify, "vector_hecke", dropped)
+    assert "operator-entry-conditions" in failed(run_all_checks(n, m, points=2))
+
+
+def test_an_unreached_row_fails_the_entry_conditions(monkeypatch):
+    # gcd(m, n) > 1, so the operator's support is not all of S_m and only
+    # the coverage of the rows is checked.
+    def row_zero_dropped(table, m):
+        op = vector_hecke(table, m)
+        return HeckeOperatorMatrix(op.n, op.m, [(mat, (None,) + image[1:]) for mat, image in op.columns])
+
+    assert "operator-entry-conditions" not in failed(run_all_checks(4, 2, points=2))
+    monkeypatch.setattr(verify, "vector_hecke", row_zero_dropped)
+    assert "operator-entry-conditions" in failed(run_all_checks(4, 2, points=2))
+
+
+def flat_residual_and_scale(psi, table, s, zetas):
+    """The definition: one max() over every residual value, and one over
+    psi evaluated again at every point."""
+    residual = max(abs(x) for z in zetas for x in three_term_residual(psi, table, s, z))
+    return residual, max(abs(x) for z in zetas for x in psi(z))
+
+
+def test_residual_and_scale_evaluates_psi_three_times_per_point():
+    table = coset_table(6)
+    image = hecke_image(vector_hecke(table, 5), cusp_solution(table, 1), 1)
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return image(z)
+
+    zetas = sample_points(7)
+    assert residual_and_scale(counted, table, 1, zetas) == flat_residual_and_scale(image, table, 1, zetas)
+    assert len(calls) == 3 * len(zetas)
+
+
+def test_residual_and_scale_folds_nan_like_one_max():
+    # max() skips a NaN unless it comes first; a point-by-point maximum
+    # would let the NaN that leads the second point hide the 5 behind it.
+    table = coset_table(2)
+    psi = lambda z: [math.nan, 5.0, 1.0] if z == 2.0 else [1.0, 2.0, 3.0]
+    zetas = [0.5, 2.0]
+    assert residual_and_scale(psi, table, 1, zetas) == flat_residual_and_scale(psi, table, 1, zetas)
