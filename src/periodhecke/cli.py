@@ -16,9 +16,9 @@ import sys
 from contextlib import contextmanager
 
 from .congruence import coset_table, gamma0_index, rho
-from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME
+from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME, divisors
 from .farey import farey_sequence, lns, m_of_q
-from .hecke import divisors, gen_sm, h_tilde, sigma, vector_hecke
+from .hecke import gen_sm, h_tilde, sigma, vector_hecke
 from .numeric import cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
 from .verify import residual_and_scale, run_all_checks, sample_points
 
@@ -30,7 +30,11 @@ from .verify import residual_and_scale, run_all_checks, sample_points
 # admitted runs with the largest mu(n) * |S_m| have prime m and take about
 # 2.0 s (hecke-vector --n 7 --m 1499), 3.6 s (check-three-term --n 19
 # --m 109) and 2.5 s (verify-all --n 23 --m 241) as whole runs (CPU time,
-# best of 3, Python 3.11 on a shared 2-core VM).
+# best of 3, Python 3.11 on a shared 2-core VM).  The residual checks
+# sample --points points each, so --points * mu(n) * sigma(m) may not exceed
+# what the largest operator costs at the default --points.  The kernel
+# checks cost about 12 us per check-laplace point and 35 us per
+# check-eta-loop panel, so their caps keep a whole run under about 1.5 s.
 FAREY_LEVEL_CAP = 500
 COSET_LEVEL_CAP = 400
 SCALAR_INDEX_CAP = 1500
@@ -41,6 +45,11 @@ VERIFY_INDEX_CAP = 250
 VECTOR_SIZE_CAP = 12000
 THREE_TERM_SIZE_CAP = 2200
 VERIFY_SIZE_CAP = 6000
+THREE_TERM_POINTS = 100
+VERIFY_POINTS = 25
+LAPLACE_POINTS_CAP = 100000
+ETA_DOUBLINGS_CAP = 12
+ETA_PANELS_CAP = 40000
 
 
 class UsageError(ValueError):
@@ -88,8 +97,10 @@ def _capped(value, cap, flag="--n"):
     return value
 
 
-def _operator_size_capped(args, index_cap, size_cap):
-    """--n and --m within their caps and mu(n) * sigma(m) within size_cap."""
+def _operator_size_capped(args, index_cap, size_cap, default_points=None):
+    """--n and --m within their caps and mu(n) * sigma(m) within size_cap;
+    with default_points, also --points * mu(n) * sigma(m) within
+    default_points * size_cap."""
     n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, index_cap, "--m")
     if m < 1:
         raise UsageError("Hecke index must be positive, got %d" % m)
@@ -98,6 +109,8 @@ def _operator_size_capped(args, index_cap, size_cap):
         raise UsageError(
             "mu(n)*sigma(m) must be at most %d, got %d for --n %d --m %d" % (size_cap, size, n, m)
         )
+    if default_points is not None:
+        _capped(args.points * size, default_points * size_cap, "--points*mu(n)*sigma(m)")
     return n, m
 
 
@@ -244,7 +257,7 @@ def _cmd_sm(args):
 
 def _cmd_check_three_term(args):
     s = _parse_complex(args.s)
-    n, m = _operator_size_capped(args, THREE_TERM_INDEX_CAP, THREE_TERM_SIZE_CAP)
+    n, m = _operator_size_capped(args, THREE_TERM_INDEX_CAP, THREE_TERM_SIZE_CAP, THREE_TERM_POINTS)
     table = coset_table(n)
     op = vector_hecke(table, m)
     with _float_range(args.s):
@@ -262,6 +275,7 @@ def _cmd_check_three_term(args):
 
 def _cmd_check_laplace(args):
     s = _parse_complex(args.s)
+    _capped(args.points, LAPLACE_POINTS_CAP, "--points")
     if args.h == args.h2:
         raise UsageError("--h and --h2 must differ: the order is read from their ratio")
     if s * (1 - s) == 0:
@@ -291,10 +305,12 @@ def _cmd_check_laplace(args):
 
 def _cmd_check_eta_loop(args):
     s = _parse_complex(args.s)
+    doublings = _capped(args.doublings, ETA_DOUBLINGS_CAP, "--doublings")
+    _capped(args.panels * (2 ** (doublings + 1) - 1), ETA_PANELS_CAP, "--panels*(2^(doublings+1)-1)")
     u = lambda z: r_zeta(z, -1.5) ** s
     v = lambda z: r_zeta(z, 3.0) ** s
     loop = [0.2 + 0.5j, 1.2 + 0.5j, 1.2 + 1.5j, 0.2 + 1.5j, 0.2 + 0.5j]
-    panels = [args.panels * 2 ** k for k in range(args.doublings + 1)]
+    panels = [args.panels * 2 ** k for k in range(doublings + 1)]
     with _float_range(args.s):
         magnitudes = [
             abs(eta_line_integral(u, v, loop, steps=p, fd_step=1e-5)) for p in panels
@@ -313,7 +329,7 @@ def _cmd_check_eta_loop(args):
 
 def _cmd_verify_all(args):
     s = _parse_complex(args.s)
-    n, m = _operator_size_capped(args, VERIFY_INDEX_CAP, VERIFY_SIZE_CAP)
+    n, m = _operator_size_capped(args, VERIFY_INDEX_CAP, VERIFY_SIZE_CAP, VERIFY_POINTS)
     with _float_range(args.s):
         checks = run_all_checks(n, m, s=s, points=args.points, tolerance=args.tolerance)
     all_pass = all(passed for _, passed, _ in checks)
@@ -364,7 +380,7 @@ def build_parser():
         n=n_flag,
         m=m_flag,
         s={"default": "1,0"},
-        points={"type": _positive_int, "default": 100},
+        points={"type": _positive_int, "default": THREE_TERM_POINTS},
         tolerance={"type": float, "default": 1e-9},
     )
     add(
@@ -390,7 +406,7 @@ def build_parser():
         n=n_flag,
         m=m_flag,
         s={"default": "1,0"},
-        points={"type": _positive_int, "default": 25},
+        points={"type": _positive_int, "default": VERIFY_POINTS},
         tolerance={"type": float, "default": 1e-9},
     )
     return parser

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact_core import Frozen, I, IntMatrix2, xgcd
+from .exact_core import Frozen, I, IntMatrix2, divisors, xgcd
 
 __all__ = [
     "gamma0_contains",
@@ -81,9 +81,9 @@ def _minimal_reps(n):
     at first, are visited, and the sweep stops when none is left."""
     def with_gcd(g, bound):  # the x with |x| <= bound and gcd(x, n) == g
         return [x for x in range(-(bound // g) * g, bound + 1, g) if math.gcd(x, n) == g]
-    divisors = [g for g in range(1, n + 1) if n % g == 0]
+    parts = divisors(n)
     pending = {(g, e): sum(math.gcd(u, n // g // e) == 1 for u in range(n // g // e))
-               for g in divisors for e in divisors if math.gcd(g, e) == 1}
+               for g in parts for e in parts if math.gcd(g, e) == 1}
     best = {}
     unsettled = set()
     bound = 0

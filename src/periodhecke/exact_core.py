@@ -16,6 +16,7 @@ __all__ = [
     "IntMatrix2",
     "FormalSum",
     "xgcd",
+    "divisors",
     "MINUS_INFINITY",
     "INFINITY",
     "ZERO",
@@ -38,6 +39,21 @@ def xgcd(a, b):
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
+
+
+def divisors(m):
+    """Positive divisors of m >= 1, ascending."""
+    if m < 1:
+        raise ValueError("divisors are taken of a positive integer, got %d" % m)
+    small, large = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d != m // d:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
 
 
 class Frozen:

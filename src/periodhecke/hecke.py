@@ -9,11 +9,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .exact_core import ExtendedRational, FormalSum, Frozen, IntMatrix2, xgcd
+from .exact_core import ExtendedRational, FormalSum, Frozen, IntMatrix2, divisors, xgcd
 from .farey import chain_matrices
 
 __all__ = [
-    "divisors",
     "gen_xm",
     "in_xm",
     "xm_representative",
@@ -26,21 +25,6 @@ __all__ = [
     "HeckeOperatorMatrix",
     "vector_hecke",
 ]
-
-
-def divisors(m):
-    """Positive divisors of m >= 1, ascending."""
-    if m < 1:
-        raise ValueError("divisors are taken of a positive integer, got %d" % m)
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
 
 
 def gen_xm(m):

@@ -335,3 +335,73 @@ def test_the_size_cap_counts_every_member_of_x_m(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "mu(n)*sigma(m) must be at most %d, got 8928 for --n 6 --m 240" % cli.VERIFY_SIZE_CAP in captured.err
+
+
+@pytest.mark.parametrize(
+    "command,target,default,size_cap",
+    [
+        ("check-three-term", "coset_table", "THREE_TERM_POINTS", "THREE_TERM_SIZE_CAP"),
+        ("verify-all", "run_all_checks", "VERIFY_POINTS", "VERIFY_SIZE_CAP"),
+    ],
+)
+def test_points_above_the_sampling_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, default, size_cap):
+    # The cap is the work of the largest operator at the default --points.
+    from periodhecke import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("%s was started" % target)
+
+    monkeypatch.setattr(cli, target, forbidden)
+    limit = getattr(cli, default) * getattr(cli, size_cap)
+    assert main([command, "--n", "1", "--m", "1", "--points", str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--points*mu(n)*sigma(m) must be at most %d, got %d" % (limit, limit + 1) in captured.err
+    # mu(2) * sigma(3) = 12 multiplies --points.
+    points = limit // 12 + 1
+    assert main([command, "--n", "2", "--m", "3", "--points", str(points)]) == 2
+    assert "must be at most %d, got %d" % (limit, 12 * points) in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="was started"):
+        main([command, "--n", "1", "--m", "1", "--points", str(limit)])
+
+
+@pytest.mark.parametrize(
+    "command,target,flag,cap,extra",
+    [
+        ("check-laplace", "laplace_fd", "--points", "LAPLACE_POINTS_CAP", []),
+        ("check-eta-loop", "eta_line_integral", "--doublings", "ETA_DOUBLINGS_CAP", ["--panels", "1"]),
+    ],
+)
+def test_kernel_check_counts_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, flag, cap, extra):
+    from periodhecke import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("%s was started" % target)
+
+    monkeypatch.setattr(cli, target, forbidden)
+    limit = getattr(cli, cap)
+    assert main([command, flag, str(limit + 1)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s must be at most %d, got %d" % (flag, limit, limit + 1) in captured.err
+    with pytest.raises(AssertionError, match="was started"):
+        main([command, flag, str(limit)] + extra)
+
+
+def test_eta_loop_panel_total_above_the_cap_exits_two_before_any_work(capsys, monkeypatch):
+    # One doubling integrates with panels and 2 * panels, 3 * panels in all.
+    from periodhecke import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eta_line_integral was started")
+
+    monkeypatch.setattr(cli, "eta_line_integral", forbidden)
+    panels = cli.ETA_PANELS_CAP // 3 + 1
+    argv = ["check-eta-loop", "--panels", str(panels), "--doublings", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--panels*(2^(doublings+1)-1) must be at most %d, got %d" % (cli.ETA_PANELS_CAP, 3 * panels) in captured.err
+    monkeypatch.setattr(cli, "ETA_PANELS_CAP", 3 * panels)
+    with pytest.raises(AssertionError, match="was started"):
+        main(argv)

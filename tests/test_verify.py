@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from periodhecke import verify
+from periodhecke import exact_core, hecke, verify
 from periodhecke.congruence import coset_table
+from periodhecke.exact_core import IntMatrix2
 from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
 from periodhecke.numeric import cusp_solution, hecke_image, three_term_residual
 from periodhecke.verify import residual_and_scale, run_all_checks, sample_points
@@ -127,10 +128,63 @@ def test_residual_and_scale_evaluates_psi_three_times_per_point():
     assert len(calls) == 3 * len(zetas)
 
 
-def test_residual_and_scale_folds_nan_like_one_max():
-    # max() skips a NaN unless it comes first; a point-by-point maximum
-    # would let the NaN that leads the second point hide the 5 behind it.
+def test_residual_and_scale_propagates_a_nan():
+    # max() skips a NaN unless it comes first.  Here each NaN trails a
+    # finite point and a finite component, and must still surface.
     table = coset_table(2)
-    psi = lambda z: [math.nan, 5.0, 1.0] if z == 2.0 else [1.0, 2.0, 3.0]
     zetas = [0.5, 2.0]
-    assert residual_and_scale(psi, table, 1, zetas) == flat_residual_and_scale(psi, table, 1, zetas)
+    psi = lambda z: [1.0, math.nan, 3.0] if z == 2.0 else [1.0, 2.0, 3.0]
+    worst, largest = residual_and_scale(psi, table, 1, zetas)
+    assert math.isnan(worst) and math.isnan(largest)
+    # psi(3) is read by the residual at 2 only, so the scale stays finite.
+    psi = lambda z: [1.0, math.nan, 3.0] if z == 3.0 else [1.0, 2.0, 3.0]
+    worst, largest = residual_and_scale(psi, table, 1, zetas)
+    assert math.isnan(worst) and largest == 3.0
+
+
+def nan_beyond(limit):
+    """A stand-in for hecke_image whose image is NaN at every z > limit."""
+    def image_of(op, psi, s):
+        image = hecke_image(op, psi, s)
+        return lambda z: [math.nan] * op.mu if z > limit else image(z)
+
+    return image_of
+
+
+def test_a_nan_at_a_later_point_fails_three_term_preserved(monkeypatch):
+    # sample_points(5) reaches z > 5 at its third point.
+    monkeypatch.setattr(verify, "hecke_image", nan_beyond(5))
+    assert failed(run_all_checks(2, 3, points=5)) == {"three-term-preserved"}
+
+
+def test_a_nan_at_a_later_point_exits_check_three_term_with_two(capsys, monkeypatch):
+    from periodhecke import cli
+
+    monkeypatch.setattr(cli, "hecke_image", nan_beyond(5))
+    assert cli.main(["check-three-term", "--n", "2", "--m", "3", "--points", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out of the floating-point range" in captured.err
+
+
+def test_a_divisor_helper_that_drops_m_fails_xm_size(monkeypatch):
+    # The helper is wrong wherever it is bound, as a bug in it would be.
+    real = hecke.divisors
+    for module in (exact_core, hecke, verify):
+        if hasattr(module, "divisors"):
+            monkeypatch.setattr(module, "divisors", lambda m: real(m)[:-1])
+    assert "xm-size" in failed(run_all_checks(1, 6, points=2))
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda xm: xm[:-1] + xm[:1],
+        lambda xm: xm[:-1] + [IntMatrix2(1, 0, 0, 1)],
+    ],
+    ids=["repeated-member", "wrong-determinant"],
+)
+def test_a_wrong_x_m_of_the_right_size_fails_xm_size(monkeypatch, mutant):
+    real = verify.gen_xm
+    monkeypatch.setattr(verify, "gen_xm", lambda m: mutant(real(m)))
+    assert "xm-size" in failed(run_all_checks(1, 6, points=2))
