@@ -17,25 +17,24 @@ from contextlib import contextmanager
 
 from .congruence import coset_table, gamma0_index, rho
 from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME, divisors
-from .farey import farey_sequence, lns, m_of_q
+from .farey import farey_sequence, level, lns, m_of_q
 from .hecke import gen_sm, h_tilde, sigma, vector_hecke
 from .numeric import cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
-from .verify import residual_and_scale, run_all_checks, sample_points
+from .verify import RELATIVE_TOLERANCE, residual_and_scale, run_all_checks, sample_points
 
 # Largest accepted levels and Hecke indices, so that no command runs for
 # minutes.  `farey --n` lists about 1.2 n^2 rationals (3 MB of JSON at 500).
+# A chain from --q takes at most level(q) + 1 steps, so the level
+# max(|a|, b) of --q is capped (mq --q 99999/100000 takes about 1.7 s).
 # A level-400 coset table takes under 0.1 s; each index cap is at most 2 s
 # at level 1.  The operator commands visit mu(n) * sigma(m) pairs (j, A),
 # sigma(m) the divisor sum, so that product has a cap of its own.  The
 # admitted runs with the largest mu(n) * |S_m| have prime m and take about
 # 2.0 s (hecke-vector --n 7 --m 1499), 3.6 s (check-three-term --n 19
 # --m 109) and 2.5 s (verify-all --n 23 --m 241) as whole runs (CPU time,
-# best of 3, Python 3.11 on a shared 2-core VM).  The residual checks
-# sample --points points each, so --points * mu(n) * sigma(m) may not exceed
-# what the largest operator costs at the default --points.  The kernel
-# checks cost about 12 us per check-laplace point and 35 us per
-# check-eta-loop panel, so their caps keep a whole run under about 1.5 s.
+# best of 3, Python 3.11 on a shared 2-core VM).
 FAREY_LEVEL_CAP = 500
+CHAIN_LEVEL_CAP = 100000
 COSET_LEVEL_CAP = 400
 SCALAR_INDEX_CAP = 1500
 SM_INDEX_CAP = 500
@@ -45,11 +44,15 @@ VERIFY_INDEX_CAP = 250
 VECTOR_SIZE_CAP = 12000
 THREE_TERM_SIZE_CAP = 2200
 VERIFY_SIZE_CAP = 6000
+
+# The fixed settings of the check commands.
 THREE_TERM_POINTS = 100
-VERIFY_POINTS = 25
-LAPLACE_POINTS_CAP = 100000
-ETA_DOUBLINGS_CAP = 12
-ETA_PANELS_CAP = 40000
+LAPLACE_H = 1e-2
+LAPLACE_H2 = 1e-3
+LAPLACE_POINTS = 100
+LAPLACE_ORDER_WINDOW = 0.4
+ETA_PANELS = (32, 64, 128)
+ETA_MIN_RATIO = 3.0
 
 
 class UsageError(ValueError):
@@ -58,9 +61,11 @@ class UsageError(ValueError):
 
 def _parse_rational(text):
     try:
-        return ExtendedRational.from_string(text)
+        q = ExtendedRational.from_string(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _capped(level(q), CHAIN_LEVEL_CAP, "the level max(|a|, b) of --q")
+    return q
 
 
 def _parse_matrix(text):
@@ -85,22 +90,14 @@ def _parse_complex(text):
     return complex(*parts)
 
 
-def _positive_int(text):
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
-    return int(text)
-
-
 def _capped(value, cap, flag="--n"):
     if value > cap:
         raise UsageError("%s must be at most %d, got %d" % (flag, cap, value))
     return value
 
 
-def _operator_size_capped(args, index_cap, size_cap, default_points=None):
-    """--n and --m within their caps and mu(n) * sigma(m) within size_cap;
-    with default_points, also --points * mu(n) * sigma(m) within
-    default_points * size_cap."""
+def _operator_size_capped(args, index_cap, size_cap):
+    """--n and --m within their caps and mu(n) * sigma(m) within size_cap."""
     n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, index_cap, "--m")
     if m < 1:
         raise UsageError("Hecke index must be positive, got %d" % m)
@@ -109,8 +106,6 @@ def _operator_size_capped(args, index_cap, size_cap, default_points=None):
         raise UsageError(
             "mu(n)*sigma(m) must be at most %d, got %d for --n %d --m %d" % (size_cap, size, n, m)
         )
-    if default_points is not None:
-        _capped(args.points * size, default_points * size_cap, "--points*mu(n)*sigma(m)")
     return n, m
 
 
@@ -257,81 +252,75 @@ def _cmd_sm(args):
 
 def _cmd_check_three_term(args):
     s = _parse_complex(args.s)
-    n, m = _operator_size_capped(args, THREE_TERM_INDEX_CAP, THREE_TERM_SIZE_CAP, THREE_TERM_POINTS)
+    n, m = _operator_size_capped(args, THREE_TERM_INDEX_CAP, THREE_TERM_SIZE_CAP)
     table = coset_table(n)
     op = vector_hecke(table, m)
     with _float_range(args.s):
         worst, largest = residual_and_scale(
-            hecke_image(op, cusp_solution(table, s), s), table, s, sample_points(args.points)
+            hecke_image(op, cusp_solution(table, s), s), table, s, sample_points(THREE_TERM_POINTS)
         )
         _finite(worst, largest)
     if largest == 0:
         raise UsageError("the reference solution vanishes at --s %s, so there is nothing to check" % args.s)
     relative = worst / largest
-    payload = {"max_residual": relative, "points": args.points}
-    rows = [["max_residual", repr(relative)], ["points", str(args.points)]]
-    return lambda: payload, lambda: rows, 0 if relative <= args.tolerance else 1
+    payload = {"max_residual": relative, "points": THREE_TERM_POINTS}
+    rows = [["max_residual", repr(relative)], ["points", str(THREE_TERM_POINTS)]]
+    return lambda: payload, lambda: rows, 0 if relative <= RELATIVE_TOLERANCE else 1
 
 
 def _cmd_check_laplace(args):
     s = _parse_complex(args.s)
-    _capped(args.points, LAPLACE_POINTS_CAP, "--points")
-    if args.h == args.h2:
-        raise UsageError("--h and --h2 must differ: the order is read from their ratio")
     if s * (1 - s) == 0:
         raise UsageError("--s must not be 0 or 1: the eigenvalue s(1-s) is 0, so no relative error exists")
     zeta = 0.7
     f = lambda z: r_zeta(z, zeta) ** s
     worst_coarse = worst_fine = 0.0
     with _float_range(args.s):
-        for k in range(args.points):
-            z0 = -1.5 + 3.0 * k / max(1, args.points - 1) + 1j * (0.6 + 0.05 * k)
+        for k in range(LAPLACE_POINTS):
+            z0 = -1.5 + 3.0 * k / (LAPLACE_POINTS - 1) + 1j * (0.6 + 0.05 * k)
             reference = s * (1 - s) * f(z0)
-            worst_coarse = max(worst_coarse, abs(laplace_fd(f, z0, args.h) - reference) / abs(reference))
-            worst_fine = max(worst_fine, abs(laplace_fd(f, z0, args.h2) - reference) / abs(reference))
+            worst_coarse = max(worst_coarse, abs(laplace_fd(f, z0, LAPLACE_H) - reference) / abs(reference))
+            worst_fine = max(worst_fine, abs(laplace_fd(f, z0, LAPLACE_H2) - reference) / abs(reference))
         _finite(worst_coarse, worst_fine)
-        order = math.log(worst_coarse / worst_fine) / math.log(args.h / args.h2)
+        order = math.log(worst_coarse / worst_fine) / math.log(LAPLACE_H / LAPLACE_H2)
     payload = {
         "error_h": worst_coarse,
         "error_h2": worst_fine,
-        "h": args.h,
-        "h2": args.h2,
+        "h": LAPLACE_H,
+        "h2": LAPLACE_H2,
         "order": order,
     }
     rows = [[k, repr(payload[k])] for k in sorted(payload)]
-    code = 0 if abs(order - 2.0) <= args.order_window else 1
+    code = 0 if abs(order - 2.0) <= LAPLACE_ORDER_WINDOW else 1
     return lambda: payload, lambda: rows, code
 
 
 def _cmd_check_eta_loop(args):
     s = _parse_complex(args.s)
-    doublings = _capped(args.doublings, ETA_DOUBLINGS_CAP, "--doublings")
-    _capped(args.panels * (2 ** (doublings + 1) - 1), ETA_PANELS_CAP, "--panels*(2^(doublings+1)-1)")
     u = lambda z: r_zeta(z, -1.5) ** s
     v = lambda z: r_zeta(z, 3.0) ** s
     loop = [0.2 + 0.5j, 1.2 + 0.5j, 1.2 + 1.5j, 0.2 + 1.5j, 0.2 + 0.5j]
-    panels = [args.panels * 2 ** k for k in range(doublings + 1)]
     with _float_range(args.s):
         magnitudes = [
-            abs(eta_line_integral(u, v, loop, steps=p, fd_step=1e-5)) for p in panels
+            abs(eta_line_integral(u, v, loop, steps=p, fd_step=1e-5)) for p in ETA_PANELS
         ]
         _finite(*magnitudes)
         ratios = [coarse / fine for coarse, fine in zip(magnitudes, magnitudes[1:])]
-    payload = {"magnitudes": magnitudes, "panels": panels, "ratios": ratios}
+    payload = {"magnitudes": magnitudes, "panels": ETA_PANELS, "ratios": ratios}
     rows = [
-        ["panels", " ".join(str(p) for p in panels)],
+        ["panels", " ".join(str(p) for p in ETA_PANELS)],
         ["magnitudes", " ".join(repr(x) for x in magnitudes)],
         ["ratios", " ".join(repr(x) for x in ratios)],
     ]
-    code = 0 if all(r > args.min_ratio for r in ratios) else 1
+    code = 0 if all(r > ETA_MIN_RATIO for r in ratios) else 1
     return lambda: payload, lambda: rows, code
 
 
 def _cmd_verify_all(args):
     s = _parse_complex(args.s)
-    n, m = _operator_size_capped(args, VERIFY_INDEX_CAP, VERIFY_SIZE_CAP, VERIFY_POINTS)
+    n, m = _operator_size_capped(args, VERIFY_INDEX_CAP, VERIFY_SIZE_CAP)
     with _float_range(args.s):
-        checks = run_all_checks(n, m, s=s, points=args.points, tolerance=args.tolerance)
+        checks = run_all_checks(n, m, s=s)
     all_pass = all(passed for _, passed, _ in checks)
     payload = {
         "all_pass": all_pass,
@@ -356,7 +345,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **flags):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for flag, options in flags.items():
             p.add_argument("--" + flag, **options)
         p.add_argument("--format", choices=["json", "tsv"], default="json")
@@ -374,41 +363,10 @@ def build_parser():
     add("hecke-scalar", _cmd_hecke_scalar, m=m_flag)
     add("hecke-vector", _cmd_hecke_vector, n=n_flag, m=m_flag)
     add("sm", _cmd_sm, m=m_flag)
-    add(
-        "check-three-term",
-        _cmd_check_three_term,
-        n=n_flag,
-        m=m_flag,
-        s={"default": "1,0"},
-        points={"type": _positive_int, "default": THREE_TERM_POINTS},
-        tolerance={"type": float, "default": 1e-9},
-    )
-    add(
-        "check-laplace",
-        _cmd_check_laplace,
-        s={"default": "0.9,0"},
-        h={"type": float, "default": 1e-2},
-        h2={"type": float, "default": 1e-3},
-        points={"type": _positive_int, "default": 100},
-        **{"order-window": {"type": float, "dest": "order_window", "default": 0.4}},
-    )
-    add(
-        "check-eta-loop",
-        _cmd_check_eta_loop,
-        s={"default": "0.8,0"},
-        panels={"type": _positive_int, "default": 32},
-        doublings={"type": _positive_int, "default": 2},
-        **{"min-ratio": {"type": float, "dest": "min_ratio", "default": 3.0}},
-    )
-    add(
-        "verify-all",
-        _cmd_verify_all,
-        n=n_flag,
-        m=m_flag,
-        s={"default": "1,0"},
-        points={"type": _positive_int, "default": VERIFY_POINTS},
-        tolerance={"type": float, "default": 1e-9},
-    )
+    add("check-three-term", _cmd_check_three_term, n=n_flag, m=m_flag, s={"default": "1,0"})
+    add("check-laplace", _cmd_check_laplace, s={"default": "0.9,0"})
+    add("check-eta-loop", _cmd_check_eta_loop, s={"default": "0.8,0"})
+    add("verify-all", _cmd_verify_all, n=n_flag, m=m_flag, s={"default": "1,0"})
     return parser
 
 
@@ -420,11 +378,10 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         payload_of, rows_of, code = args.func(args)
-        text = _render(payload_of, rows_of, args.format)
-    except (ValueError, ArithmeticError) as exc:
+        _emit(_render(payload_of, rows_of, args.format), args.out)
+    except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    _emit(text, args.out)
     return code
 
 

@@ -24,6 +24,9 @@ from .numeric import (
 
 __all__ = ["run_all_checks", "residual_and_scale", "sample_points"]
 
+RELATIVE_TOLERANCE = 1e-9
+VERIFY_POINTS = 25
+
 
 def _random_word(rng, max_len=6):
     g = I
@@ -82,7 +85,7 @@ def residual_and_scale(psi, table, s, zetas):
     return worst, largest
 
 
-def run_all_checks(n, m, s=1.0, points=25, tolerance=1e-9):
+def run_all_checks(n, m, s=1.0):
     """Run the invariant suite for level n and Hecke index m >= 1; returns
     a list of (name, passed, detail) triples."""
     rng = random.Random(0)
@@ -177,7 +180,7 @@ def run_all_checks(n, m, s=1.0, points=25, tolerance=1e-9):
         )
 
     psi = cusp_solution(table, s)
-    zetas = sample_points(points)
+    zetas = sample_points(VERIFY_POINTS)
     worst_in, largest_in = residual_and_scale(psi, table, s, zetas)
     checks.append(
         (
@@ -191,9 +194,9 @@ def run_all_checks(n, m, s=1.0, points=25, tolerance=1e-9):
     checks.append(
         (
             "three-term-preserved",
-            largest_out > 0 and worst_out <= tolerance * largest_out,
+            largest_out > 0 and worst_out <= RELATIVE_TOLERANCE * largest_out,
             "max residual %.3e, max |image| %.3e (relative tolerance %.1e)"
-            % (worst_out, largest_out, tolerance),
+            % (worst_out, largest_out, RELATIVE_TOLERANCE),
         )
     )
 

@@ -1,10 +1,13 @@
+import argparse
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from periodhecke.cli import main
+from periodhecke.cli import build_parser, main
+from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
+from periodhecke.numeric import eta_line_integral, laplace_fd
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -31,10 +34,10 @@ CASES = [
     ("hecke-vector", ["hecke-vector", "--n", "2", "--m", "3"]),
     ("hecke-vector", ["hecke-vector", "--n", "3", "--m", "1"]),
     ("sm", ["sm", "--m", "4"]),
-    ("check-three-term", ["check-three-term", "--n", "2", "--m", "3", "--points", "10"]),
-    ("check-laplace", ["check-laplace", "--points", "3"]),
-    ("check-eta-loop", ["check-eta-loop", "--panels", "8", "--doublings", "1"]),
-    ("verify-all", ["verify-all", "--n", "1", "--m", "2", "--points", "5"]),
+    ("check-three-term", ["check-three-term", "--n", "2", "--m", "3"]),
+    ("check-laplace", ["check-laplace"]),
+    ("check-eta-loop", ["check-eta-loop"]),
+    ("verify-all", ["verify-all", "--n", "1", "--m", "2"]),
 ]
 
 
@@ -58,7 +61,7 @@ def test_subcommand_emits_valid_json(capsys, name, argv):
         ["farey", "--n", "2"],
         ["hecke-vector", "--n", "3", "--m", "2"],
         ["cosets", "--n", "6"],
-        ["verify-all", "--n", "2", "--m", "2", "--points", "5"],
+        ["verify-all", "--n", "2", "--m", "2"],
     ],
     ids=["farey", "hecke-vector", "cosets", "verify-all"],
 )
@@ -99,6 +102,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == ["-1/0", "-1/1", "0/1", "1/1", "1/0"]
 
 
+@pytest.mark.parametrize("target", ["", "missing/farey.json"], ids=["directory", "missing-directory"])
+def test_an_unwritable_out_exits_two_with_a_message(tmp_path, capsys, target):
+    # Exit 1 means a check failed its tolerance, so a write error is a 2.
+    assert main(["farey", "--n", "1", "--out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["hecke-vector", "--n", "2", "--m", "0"]) == 2
     assert main(["lns", "--q", "1/2/3"]) == 2
@@ -116,14 +128,33 @@ def test_usage_errors_exit_two(capsys):
             assert "Hecke index must be positive" in captured.err
 
 
-def test_check_failure_exits_one(capsys):
-    # An absurdly tight tolerance forces the three-term check to fail.
-    code = main(
-        ["check-three-term", "--n", "1", "--m", "2", "--points", "5", "--tolerance", "1e-30"]
-    )
-    assert code == 1
-    out = capsys.readouterr().out
-    validate("check-three-term", json.loads(out))
+def rotated_vector_hecke(table, m):
+    op = vector_hecke(table, m)
+    return HeckeOperatorMatrix(op.n, op.m, [(mat, image[1:] + image[:1]) for mat, image in op.columns])
+
+
+# One broken ingredient per check command, with the arguments it runs at.
+MUTANTS = [
+    (["check-three-term", "--n", "2", "--m", "3"], "vector_hecke", rotated_vector_hecke),
+    # An error of order h: the observed order drops to about 1.
+    (["check-laplace"], "laplace_fd", lambda f, z, h: laplace_fd(f, z, h) + h),
+    # A constant offset: successive magnitudes no longer shrink.
+    (["check-eta-loop"], "eta_line_integral", lambda *args, **kwargs: eta_line_integral(*args, **kwargs) + 1.0),
+]
+
+
+def test_check_failure_exits_one(capsys, monkeypatch):
+    # Every check can fail at its fixed settings: each passes as it is and
+    # exits 1, still printing a valid payload, with its mutant patched in.
+    from periodhecke import cli
+
+    for argv, target, mutant in MUTANTS:
+        assert main(argv) == 0
+        validate(argv[0], json.loads(capsys.readouterr().out))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, target, mutant)
+            assert main(argv) == 1, argv[0]
+        validate(argv[0], json.loads(capsys.readouterr().out))
 
 
 def test_module_entry_point():
@@ -140,7 +171,7 @@ def test_module_entry_point():
 
 
 def test_verify_all_passes_reference_instance(capsys):
-    code, out = run_cli(capsys, ["verify-all", "--n", "1", "--m", "2", "--points", "10"])
+    code, out = run_cli(capsys, ["verify-all", "--n", "1", "--m", "2"])
     assert code == 0
     payload = json.loads(out)
     assert payload["all_pass"] is True
@@ -152,23 +183,10 @@ def test_verify_all_passes_reference_instance(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["check-eta-loop", "--panels", "8", "--doublings", "0"], "--doublings"),
-        (["check-three-term", "--n", "2", "--m", "3", "--points", "0"], "--points"),
-        (["verify-all", "--n", "2", "--m", "3", "--points", "0"], "--points"),
-        (["check-laplace", "--points", "0"], "--points"),
-        (["check-laplace", "--h", "1e-3", "--h2", "1e-3"], "--h and --h2 must differ"),
         (["check-three-term", "--n", "2", "--m", "3", "--s", "nan"], "must be finite"),
         (["verify-all", "--n", "2", "--m", "3", "--s", "1,inf"], "must be finite"),
     ],
-    ids=[
-        "no-doublings",
-        "no-points",
-        "verify-no-points",
-        "laplace-no-points",
-        "equal-steps",
-        "nan-s",
-        "inf-s",
-    ],
+    ids=["nan-s", "inf-s"],
 )
 def test_checks_without_evidence_exit_two(capsys, argv, message):
     assert main(argv) == 2
@@ -188,20 +206,21 @@ def test_non_finite_payload_is_not_printed_as_json(capsys, monkeypatch):
 
 
 def test_run_all_checks_needs_a_sample_point():
-    from periodhecke.verify import run_all_checks
+    # run_all_checks samples through sample_points, which refuses zero points.
+    from periodhecke.verify import sample_points
 
     with pytest.raises(ValueError, match="sample point"):
-        run_all_checks(2, 3, points=0)
+        sample_points(0)
 
 
 def test_verify_all_passes_a_correct_operator_away_from_s_equal_one(capsys):
-    code, out = run_cli(capsys, ["verify-all", "--n", "2", "--m", "3", "--s", "2.5", "--points", "5"])
+    code, out = run_cli(capsys, ["verify-all", "--n", "2", "--m", "3", "--s", "2.5"])
     assert code == 0
     assert json.loads(out)["all_pass"] is True
 
 
 def test_check_three_term_reports_the_residual_relative_to_the_image(capsys):
-    code, out = run_cli(capsys, ["check-three-term", "--n", "2", "--m", "3", "--s", "2.5", "--points", "5"])
+    code, out = run_cli(capsys, ["check-three-term", "--n", "2", "--m", "3", "--s", "2.5"])
     assert code == 0
     payload = json.loads(out)
     validate("check-three-term", payload)
@@ -233,10 +252,10 @@ def test_mq_of_a_negative_rational_parses_and_names_the_domain(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check-laplace", "--s", "1e200", "--points", "3"],
-        ["check-three-term", "--n", "1", "--m", "2", "--s", "-400", "--points", "3"],
-        ["verify-all", "--n", "2", "--m", "3", "--s", "-400", "--points", "3"],
-        ["check-eta-loop", "--s", "1e200", "--panels", "2", "--doublings", "1"],
+        ["check-laplace", "--s", "1e200"],
+        ["check-three-term", "--n", "1", "--m", "2", "--s", "-400"],
+        ["verify-all", "--n", "2", "--m", "3", "--s", "-400"],
+        ["check-eta-loop", "--s", "1e200"],
     ],
     ids=["laplace", "three-term", "verify-all", "eta-loop"],
 )
@@ -249,12 +268,12 @@ def test_oversized_spectral_parameter_exits_two_with_a_message(capsys, argv):
 
 @pytest.mark.parametrize("s", ["0", "1"])
 def test_check_laplace_at_a_zero_eigenvalue_exits_two(capsys, s):
-    assert main(["check-laplace", "--s", s, "--points", "3"]) == 2
+    assert main(["check-laplace", "--s", s]) == 2
     assert "eigenvalue s(1-s) is 0" in capsys.readouterr().err
 
 
 def test_vanishing_reference_solution_exits_two(capsys):
-    assert main(["check-three-term", "--n", "1", "--m", "2", "--s", "0", "--points", "3"]) == 2
+    assert main(["check-three-term", "--n", "1", "--m", "2", "--s", "0"]) == 2
     assert "reference solution vanishes" in capsys.readouterr().err
 
 
@@ -337,71 +356,73 @@ def test_the_size_cap_counts_every_member_of_x_m(capsys, monkeypatch):
     assert "mu(n)*sigma(m) must be at most %d, got 8928 for --n 6 --m 240" % cli.VERIFY_SIZE_CAP in captured.err
 
 
-@pytest.mark.parametrize(
-    "command,target,default,size_cap",
-    [
-        ("check-three-term", "coset_table", "THREE_TERM_POINTS", "THREE_TERM_SIZE_CAP"),
-        ("verify-all", "run_all_checks", "VERIFY_POINTS", "VERIFY_SIZE_CAP"),
-    ],
-)
-def test_points_above_the_sampling_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, default, size_cap):
-    # The cap is the work of the largest operator at the default --points.
+@pytest.mark.parametrize("command,target", [("lns", "lns"), ("mq", "m_of_q")])
+def test_rationals_above_the_level_cap_exit_two_before_any_chain(capsys, monkeypatch, command, target):
+    # A chain takes up to level(q) + 1 steps, so the level bounds its work.
     from periodhecke import cli
 
     def forbidden(*args, **kwargs):
         raise AssertionError("%s was started" % target)
 
     monkeypatch.setattr(cli, target, forbidden)
-    limit = getattr(cli, default) * getattr(cli, size_cap)
-    assert main([command, "--n", "1", "--m", "1", "--points", str(limit + 1)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--points*mu(n)*sigma(m) must be at most %d, got %d" % (limit, limit + 1) in captured.err
-    # mu(2) * sigma(3) = 12 multiplies --points.
-    points = limit // 12 + 1
-    assert main([command, "--n", "2", "--m", "3", "--points", str(points)]) == 2
-    assert "must be at most %d, got %d" % (limit, 12 * points) in capsys.readouterr().err
+    limit = cli.CHAIN_LEVEL_CAP
+    for q in ("1/%d" % (limit + 1), "%d/7" % (limit + 1), "-%d/3" % (limit + 1)):
+        assert main([command, "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the level max(|a|, b) of --q must be at most %d, got %d" % (limit, limit + 1) in captured.err
     with pytest.raises(AssertionError, match="was started"):
-        main([command, "--n", "1", "--m", "1", "--points", str(limit)])
+        main([command, "--q", "%d/%d" % (limit - 1, limit)])
+
+
+# Every option each subcommand accepts, besides --format and --out.  The
+# check commands run at fixed settings, so they take no tuning flags.
+INTERFACE = {
+    "farey": ["--n"],
+    "lns": ["--q"],
+    "mq": ["--q"],
+    "cosets": ["--n"],
+    "rho": ["--n", "--word"],
+    "sigma": ["--g", "--A"],
+    "hecke-scalar": ["--m"],
+    "hecke-vector": ["--n", "--m"],
+    "sm": ["--m"],
+    "check-three-term": ["--n", "--m", "--s"],
+    "check-laplace": ["--s"],
+    "check-eta-loop": ["--s"],
+    "verify-all": ["--n", "--m", "--s"],
+}
+
+
+def test_each_subcommand_accepts_exactly_its_pinned_options():
+    (subparsers,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    accepted = {
+        name: sorted(option for action in sub._actions for option in action.option_strings if option not in ("-h", "--help"))
+        for name, sub in subparsers.choices.items()
+    }
+    assert accepted == {name: sorted(flags + ["--format", "--out"]) for name, flags in INTERFACE.items()}
 
 
 @pytest.mark.parametrize(
-    "command,target,flag,cap,extra",
+    "argv",
     [
-        ("check-laplace", "laplace_fd", "--points", "LAPLACE_POINTS_CAP", []),
-        ("check-eta-loop", "eta_line_integral", "--doublings", "ETA_DOUBLINGS_CAP", ["--panels", "1"]),
+        ["check-three-term", "--n", "2", "--m", "3", "--points", "5"],
+        ["check-three-term", "--n", "2", "--m", "3", "--tolerance", "1e300"],
+        ["verify-all", "--n", "2", "--m", "3", "--points", "5"],
+        ["verify-all", "--n", "2", "--m", "3", "--tolerance", "1e300"],
+        ["check-laplace", "--h", "1e-2"],
+        ["check-laplace", "--h2", "1e-3"],
+        ["check-laplace", "--points", "3"],
+        ["check-laplace", "--order-window", "9"],
+        ["check-eta-loop", "--panels", "8"],
+        ["check-eta-loop", "--doublings", "1"],
+        ["check-eta-loop", "--min-ratio", "0"],
     ],
+    ids=lambda argv: " ".join([argv[0], argv[-2]]),
 )
-def test_kernel_check_counts_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, flag, cap, extra):
-    from periodhecke import cli
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("%s was started" % target)
-
-    monkeypatch.setattr(cli, target, forbidden)
-    limit = getattr(cli, cap)
-    assert main([command, flag, str(limit + 1)] + extra) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "%s must be at most %d, got %d" % (flag, limit, limit + 1) in captured.err
-    with pytest.raises(AssertionError, match="was started"):
-        main([command, flag, str(limit)] + extra)
-
-
-def test_eta_loop_panel_total_above_the_cap_exits_two_before_any_work(capsys, monkeypatch):
-    # One doubling integrates with panels and 2 * panels, 3 * panels in all.
-    from periodhecke import cli
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("eta_line_integral was started")
-
-    monkeypatch.setattr(cli, "eta_line_integral", forbidden)
-    panels = cli.ETA_PANELS_CAP // 3 + 1
-    argv = ["check-eta-loop", "--panels", str(panels), "--doublings", "1"]
+def test_a_removed_tuning_flag_exits_two(capsys, argv):
+    # Options are never abbreviated, so --h is not read as --help.
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--panels*(2^(doublings+1)-1) must be at most %d, got %d" % (cli.ETA_PANELS_CAP, 3 * panels) in captured.err
-    monkeypatch.setattr(cli, "ETA_PANELS_CAP", 3 * panels)
-    with pytest.raises(AssertionError, match="was started"):
-        main(argv)
+    assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in captured.err

@@ -17,7 +17,7 @@ def failed(checks):
 @pytest.mark.parametrize("s", [1.0, 2.5, 0.5 + 3j, 0.5 + 100j], ids=["s=1", "s=2.5", "s=0.5+3i", "s=0.5+100i"])
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (4, 3), (6, 5), (9, 2)])
 def test_correct_operator_passes_every_check_for_every_s(n, m, s):
-    assert failed(run_all_checks(n, m, s=s, points=5)) == set()
+    assert failed(run_all_checks(n, m, s=s)) == set()
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (4, 3), (6, 5), (5, 5)])
@@ -29,7 +29,7 @@ def test_rotated_column_maps_fail_run_all_checks(monkeypatch, n, m):
         )
 
     monkeypatch.setattr(verify, "vector_hecke", rotated)
-    assert "three-term-preserved" in failed(run_all_checks(n, m, s=0.5 + 3j, points=5))
+    assert "three-term-preserved" in failed(run_all_checks(n, m, s=0.5 + 3j))
 
 
 def transposed(op):
@@ -52,7 +52,7 @@ def test_transposed_operator_fails_run_all_checks(monkeypatch, n, m):
     real = vector_hecke(coset_table(n), m)
     assert transposed(real) != real
     monkeypatch.setattr(verify, "vector_hecke", lambda table, m: transposed(real))
-    assert "three-term-preserved" in failed(run_all_checks(n, m, s=0.5 + 3j, points=5))
+    assert "three-term-preserved" in failed(run_all_checks(n, m, s=0.5 + 3j))
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (4, 3), (3, 2)])
@@ -70,19 +70,19 @@ def test_residual_is_measured_against_the_size_of_the_image():
     worst, largest = residual_and_scale(image, table, 2.5, sample_points(5))
     assert largest > 1e6
     assert worst <= 1e-12 * largest
-    checks = {name: passed for name, passed, _ in run_all_checks(2, 3, s=2.5, points=5)}
+    checks = {name: passed for name, passed, _ in run_all_checks(2, 3, s=2.5)}
     assert checks["three-term-preserved"]
 
 
 def test_transfer_check_keeps_its_s_equal_one_reference():
-    checks = {name: (passed, detail) for name, passed, detail in run_all_checks(1, 2, s=2.5, points=5)}
+    checks = {name: (passed, detail) for name, passed, detail in run_all_checks(1, 2, s=2.5)}
     passed, detail = checks["transfer-equation-signs"]
     assert passed and detail.startswith("s = 1 reference")
 
 
 def test_a_vanishing_reference_solution_is_not_a_pass():
     # At level 1 and s = 0 the reference w - z^0 rho(S) w is identically 0.
-    assert {"three-term-input", "three-term-preserved"} <= failed(run_all_checks(1, 2, s=0, points=5))
+    assert {"three-term-input", "three-term-preserved"} <= failed(run_all_checks(1, 2, s=0))
 
 
 @pytest.mark.parametrize("n,m", [(5, 3), (1, 7)])
@@ -92,7 +92,7 @@ def test_dropping_one_matrix_fails_the_entry_conditions(monkeypatch, n, m):
         return HeckeOperatorMatrix(op.n, op.m, op.columns[1:])
 
     monkeypatch.setattr(verify, "vector_hecke", dropped)
-    assert "operator-entry-conditions" in failed(run_all_checks(n, m, points=2))
+    assert "operator-entry-conditions" in failed(run_all_checks(n, m))
 
 
 def test_an_unreached_row_fails_the_entry_conditions(monkeypatch):
@@ -102,9 +102,9 @@ def test_an_unreached_row_fails_the_entry_conditions(monkeypatch):
         op = vector_hecke(table, m)
         return HeckeOperatorMatrix(op.n, op.m, [(mat, (None,) + image[1:]) for mat, image in op.columns])
 
-    assert "operator-entry-conditions" not in failed(run_all_checks(4, 2, points=2))
+    assert "operator-entry-conditions" not in failed(run_all_checks(4, 2))
     monkeypatch.setattr(verify, "vector_hecke", row_zero_dropped)
-    assert "operator-entry-conditions" in failed(run_all_checks(4, 2, points=2))
+    assert "operator-entry-conditions" in failed(run_all_checks(4, 2))
 
 
 def flat_residual_and_scale(psi, table, s, zetas):
@@ -152,16 +152,16 @@ def nan_beyond(limit):
 
 
 def test_a_nan_at_a_later_point_fails_three_term_preserved(monkeypatch):
-    # sample_points(5) reaches z > 5 at its third point.
+    # sample_points(25) reaches z > 5 at its 13th point.
     monkeypatch.setattr(verify, "hecke_image", nan_beyond(5))
-    assert failed(run_all_checks(2, 3, points=5)) == {"three-term-preserved"}
+    assert failed(run_all_checks(2, 3)) == {"three-term-preserved"}
 
 
 def test_a_nan_at_a_later_point_exits_check_three_term_with_two(capsys, monkeypatch):
     from periodhecke import cli
 
     monkeypatch.setattr(cli, "hecke_image", nan_beyond(5))
-    assert cli.main(["check-three-term", "--n", "2", "--m", "3", "--points", "5"]) == 2
+    assert cli.main(["check-three-term", "--n", "2", "--m", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "out of the floating-point range" in captured.err
@@ -173,7 +173,7 @@ def test_a_divisor_helper_that_drops_m_fails_xm_size(monkeypatch):
     for module in (exact_core, hecke, verify):
         if hasattr(module, "divisors"):
             monkeypatch.setattr(module, "divisors", lambda m: real(m)[:-1])
-    assert "xm-size" in failed(run_all_checks(1, 6, points=2))
+    assert "xm-size" in failed(run_all_checks(1, 6))
 
 
 @pytest.mark.parametrize(
@@ -187,4 +187,4 @@ def test_a_divisor_helper_that_drops_m_fails_xm_size(monkeypatch):
 def test_a_wrong_x_m_of_the_right_size_fails_xm_size(monkeypatch, mutant):
     real = verify.gen_xm
     monkeypatch.setattr(verify, "gen_xm", lambda m: mutant(real(m)))
-    assert "xm-size" in failed(run_all_checks(1, 6, points=2))
+    assert "xm-size" in failed(run_all_checks(1, 6))
