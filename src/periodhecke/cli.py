@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from .congruence import coset_table, gamma0_index, rho
 from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME, divisors
 from .farey import farey_sequence, level, lns, m_of_q
-from .hecke import gen_sm, h_tilde, sigma, vector_hecke
+from .hecke import gen_sm, gen_xm, h_tilde, sigma, vector_hecke
 from .numeric import cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
 from .verify import RELATIVE_TOLERANCE, residual_and_scale, run_all_checks, sample_points
 
@@ -27,12 +27,12 @@ from .verify import RELATIVE_TOLERANCE, residual_and_scale, run_all_checks, samp
 # A chain from --q takes at most level(q) + 1 steps, so the level
 # max(|a|, b) of --q is capped (mq --q 99999/100000 takes about 1.7 s).
 # A level-400 coset table takes under 0.1 s; each index cap is at most 2 s
-# at level 1.  The operator commands visit mu(n) * sigma(m) pairs (j, A),
-# sigma(m) the divisor sum, so that product has a cap of its own.  The
-# admitted runs with the largest mu(n) * |S_m| have prime m and take about
-# 2.0 s (hecke-vector --n 7 --m 1499), 3.6 s (check-three-term --n 19
-# --m 109) and 2.5 s (verify-all --n 23 --m 241) as whole runs (CPU time,
-# best of 3, Python 3.11 on a shared 2-core VM).
+# at level 1.  The operator commands handle mu(n) * |S_m| pairs (j, B), so
+# that product has a cap of its own (hecke-vector caps mu(n) * sigma(m),
+# sigma(m) the divisor sum).  The slowest admitted runs found take about
+# 2.0 s (hecke-vector --n 7 --m 1499), 2.3 s (check-three-term --n 3 --m 114)
+# and 2.2 s (verify-all --n 3 --m 216) as whole runs (CPU time, best of 3,
+# Python 3.11 on a shared 2-core VM).
 FAREY_LEVEL_CAP = 500
 CHAIN_LEVEL_CAP = 100000
 COSET_LEVEL_CAP = 400
@@ -42,8 +42,8 @@ VECTOR_INDEX_CAP = 1500
 THREE_TERM_INDEX_CAP = 120
 VERIFY_INDEX_CAP = 250
 VECTOR_SIZE_CAP = 12000
-THREE_TERM_SIZE_CAP = 2200
-VERIFY_SIZE_CAP = 6000
+THREE_TERM_SIZE_CAP = 9000
+VERIFY_SIZE_CAP = 20000
 
 # The fixed settings of the check commands.
 THREE_TERM_POINTS = 100
@@ -96,15 +96,21 @@ def _capped(value, cap, flag="--n"):
     return value
 
 
-def _operator_size_capped(args, index_cap, size_cap):
-    """--n and --m within their caps and mu(n) * sigma(m) within size_cap."""
+def _operator_size_capped(args, index_cap, size_cap, merel=True):
+    """--n and --m within their caps and mu(n) * |S_m| within size_cap,
+    |S_m| counted as the total chain length over X_m; hecke-vector
+    (merel=False) caps mu(n) * sigma(m), sigma(m) the divisor sum."""
     n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, index_cap, "--m")
     if m < 1:
         raise UsageError("Hecke index must be positive, got %d" % m)
-    size = gamma0_index(n) * sum(divisors(m))
+    if merel:
+        label, count = "|S_m|", sum(len(lns(ExtendedRational(a.b, a.d))) - 1 for a in gen_xm(m))
+    else:
+        label, count = "sigma(m)", sum(divisors(m))
+    size = gamma0_index(n) * count
     if size > size_cap:
         raise UsageError(
-            "mu(n)*sigma(m) must be at most %d, got %d for --n %d --m %d" % (size_cap, size, n, m)
+            "mu(n)*%s must be at most %d, got %d for --n %d --m %d" % (label, size_cap, size, n, m)
         )
     return n, m
 
@@ -240,7 +246,7 @@ def _cmd_hecke_scalar(args):
 
 
 def _cmd_hecke_vector(args):
-    n, m = _operator_size_capped(args, VECTOR_INDEX_CAP, VECTOR_SIZE_CAP)
+    n, m = _operator_size_capped(args, VECTOR_INDEX_CAP, VECTOR_SIZE_CAP, merel=False)
     op = vector_hecke(coset_table(n), m)
     return op.to_json_obj, lambda: _tsv_operator(op), 0
 
@@ -254,14 +260,15 @@ def _cmd_check_three_term(args):
     s = _parse_complex(args.s)
     n, m = _operator_size_capped(args, THREE_TERM_INDEX_CAP, THREE_TERM_SIZE_CAP)
     table = coset_table(n)
+    psi = cusp_solution(table, s)
     op = vector_hecke(table, m)
     with _float_range(args.s):
         worst, largest = residual_and_scale(
-            hecke_image(op, cusp_solution(table, s), s), table, s, sample_points(THREE_TERM_POINTS)
+            hecke_image(op, psi, s), table, s, sample_points(THREE_TERM_POINTS)
         )
         _finite(worst, largest)
     if largest == 0:
-        raise UsageError("the reference solution vanishes at --s %s, so there is nothing to check" % args.s)
+        raise UsageError("the Hecke image vanishes at --s %s, so there is nothing to check" % args.s)
     relative = worst / largest
     payload = {"max_residual": relative, "points": THREE_TERM_POINTS}
     rows = [["max_residual", repr(relative)], ["points", str(THREE_TERM_POINTS)]]
@@ -301,9 +308,7 @@ def _cmd_check_eta_loop(args):
     v = lambda z: r_zeta(z, 3.0) ** s
     loop = [0.2 + 0.5j, 1.2 + 0.5j, 1.2 + 1.5j, 0.2 + 1.5j, 0.2 + 0.5j]
     with _float_range(args.s):
-        magnitudes = [
-            abs(eta_line_integral(u, v, loop, steps=p, fd_step=1e-5)) for p in ETA_PANELS
-        ]
+        magnitudes = [abs(eta_line_integral(u, v, loop, steps=p)) for p in ETA_PANELS]
         _finite(*magnitudes)
         ratios = [coarse / fine for coarse, fine in zip(magnitudes, magnitudes[1:])]
     payload = {"magnitudes": magnitudes, "panels": ETA_PANELS, "ratios": ratios}

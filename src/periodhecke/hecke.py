@@ -82,8 +82,9 @@ HeckeCosetRecord.__doc__ = """One step of coset bookkeeping: A * reps[j] lies in
 Gamma0(n) * reps[phi] * sigma with sigma in X_m."""
 
 
-def _coset_step(table, a_mat, j):
-    """sigma = sigma_{reps[j]}(A) as (a, b, d) and the index of the coset of
+def phi(table, a_mat, j):
+    """Locate the coset hit by A * reps[j]: returns the record with
+    sigma = sigma_{reps[j]}(A) and phi the index of the coset of
     A * reps[j] * sigma^-1, in integer arithmetic.
 
     A * reps[j] = (ga gb; gc gd) gives sigma = (a b; 0 d) with a = gcd(ga, gc)
@@ -91,29 +92,19 @@ def _coset_step(table, a_mat, j):
     xm_representative.  A * reps[j] * sigma^-1 = A * reps[j] * adj(sigma) / m;
     every entry must divide exactly, and the bottom row names the coset.
     """
+    if not in_xm(a_mat):
+        raise ValueError("%r is not an X_m representative" % (a_mat,))
     m = a_mat.a * a_mat.d
     rep = table.reps[j]
     ga, gb = a_mat.a * rep.a + a_mat.b * rep.c, a_mat.a * rep.b + a_mat.b * rep.d
     gc, gd = a_mat.d * rep.c, a_mat.d * rep.d
     a, x, y = xgcd(ga, gc)
     d = m // a
-    b = (x * gb + y * gd) % d
-    top_right, bottom_right = gb * a - ga * b, gd * a - gc * b
+    s = IntMatrix2(a, (x * gb + y * gd) % d, 0, d)
+    top_right, bottom_right = gb * a - ga * s.b, gd * a - gc * s.b
     if ga * d % m or gc * d % m or top_right % m or bottom_right % m:
-        raise ArithmeticError(
-            "A * reps[%d] * adj(%r) is not divisible by %d" % (j, IntMatrix2(a, b, 0, d), m)
-        )
-    return (a, b, d), table.index_of_row(gc * d // m, bottom_right // m)
-
-
-def phi(table, a_mat, j):
-    """Locate the coset hit by A * reps[j]: returns the record with
-    sigma = sigma_{reps[j]}(A) and phi the index of the coset of
-    A * reps[j] * sigma^-1."""
-    if not in_xm(a_mat):
-        raise ValueError("%r is not an X_m representative" % (a_mat,))
-    (a, b, d), index = _coset_step(table, a_mat, j)
-    return HeckeCosetRecord(a_mat, j, index, IntMatrix2(a, b, 0, d))
+        raise ArithmeticError("A * reps[%d] * adj(%r) is not divisible by %d" % (j, s, m))
+    return HeckeCosetRecord(a_mat, j, table.index_of_row(gc * d // m, bottom_right // m), s)
 
 
 def h_tilde(m):
@@ -257,45 +248,39 @@ class HeckeOperatorMatrix(Frozen):
 
 
 def vector_hecke(table, m):
-    """Assemble the m-th Hecke operator for the given coset table, m >= 1.
+    """Assemble the m-th Hecke operator for the given coset table, m >= 1,
+    as Merel's action of S_m on the cosets, the points of P^1(Z/nZ).
 
     The defining set is {A = (a b; 0 d) in X_m : gcd(a, n) = 1}, the usual
     one for T_m on Gamma0(n): all of X_m when gcd(m, n) = 1, and T_1 is the
-    identity.  The chain sum M(sigma) depends only on sigma in X_m, so the
-    chain of each of the |X_m| members is built once: every link L of
-    chain_matrices(b/d) for sigma = (a b; 0 d) is kept as B = L * sigma and
-    the columns of L^-1.
-    For each row j and each A, _coset_step finds sigma = sigma_{reps[j]}(A)
-    and the coset phi of A * reps[j] * sigma^-1 from one extended gcd and an
-    exact division by m; each link of sigma's chain then sends row j of the
-    map of B to the coset of the bottom row of reps[phi] * L^-1, looked up
-    without building the matrix.  A (B, j) pair met twice, as a chain that
-    repeated a matrix would give, raises ArithmeticError, and so does a
-    sigma whose division by m is not exact.
+    identity.  The chain of each sigma in X_m is built once; every B =
+    L * sigma it yields is new, since sigma is the X_m normal form of B.  In
+    the paper's bookkeeping row j of B is reached by the one A with
+    sigma_{reps[j]}(A) = sigma, and lands in the coset of reps[phi] * L^-1,
+    which holds U = A * reps[j] * B^-1.  For the row (c, d) of reps[j] let
+
+        (u, v) = (c, d) * adj(B) = (c*d_B - d*c_B, d*a_B - c*b_B).
+
+    U is unimodular with bottom row d_A * (c, d) * B^-1 = (u, v) / a_A, so
+    a_A = gcd(u, v): A lies in the defining set exactly when gcd(u, v, n)
+    = 1, and then the coset of U is the P^1 point of (u, v), a_A being a
+    unit mod n.
     """
     if m < 1:
         raise ValueError("Hecke index must be positive")
-    xm = gen_xm(m)
-    a_set = [a for a in xm if math.gcd(a.a, table.n) == 1]
-    mu = table.mu
-    images = {}
-    chains = {}
-    for s in xm:
-        links = []
+    n, rows = table.n, [(rep.c, rep.d) for rep in table.reps]
+    index_of_row = table.index_of_row
+    columns = {}
+    for s in gen_xm(m):
         for link in chain_matrices(ExtendedRational(s.b, s.d)):
             mat = link * s
-            image = images.setdefault(mat, [None] * mu)
-            # (c, d) * L^-1 = (c*t + d*u, c*v + d*w) for L^-1 = (t v; u w).
-            links.append((mat, image, link.d, -link.c, -link.b, link.a))
-        chains[s.a, s.b, s.d] = links
-    index_of_row = table.index_of_row
-    for j in range(mu):
-        for a_mat in a_set:
-            sigma_key, i = _coset_step(table, a_mat, j)
-            c, d = table.reps[i].c, table.reps[i].d
-            for mat, image, t, u, v, w in chains[sigma_key]:
-                if image[j] is not None:
-                    raise ArithmeticError("%r reaches row %d twice" % (mat, j))
-                image[j] = index_of_row(c * t + d * u, c * v + d * w)
-    columns = [(mat, image) for mat, image in images.items() if image.count(None) < mu]
-    return HeckeOperatorMatrix(table.n, m, columns)
+            if mat in columns:
+                raise ArithmeticError("%r occurs twice among the chain matrices" % (mat,))
+            a, b, c_b, d_b = mat.key
+            image = columns[mat] = []
+            for c, d in rows:
+                u, v = c * d_b - d * c_b, d * a - c * b
+                image.append(index_of_row(u, v) if math.gcd(u, v, n) == 1 else None)
+    return HeckeOperatorMatrix(
+        n, m, [(mat, image) for mat, image in columns.items() if image.count(None) < len(rows)]
+    )

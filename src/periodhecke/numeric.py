@@ -31,6 +31,7 @@ __all__ = [
 
 # (0 1; 1 0) * T'^-1, the determinant -1 word of the transfer variant.
 _TRANSFER_PERM_WORD = IntMatrix2(-1, 1, 1, 0)
+ETA_FD_STEP = 1e-5
 
 
 def slash_eval(f, mat, s, zeta):
@@ -58,7 +59,8 @@ def cusp_solution(table, s):
 
     Each orbit's indicator gives a solution of the three-term equation for
     every s, so psi is one too; the distinct weights make its components
-    differ, so a misplaced column of an operator changes the image.
+    differ, so a misplaced column of an operator changes the image.  An
+    identically zero psi (s = 0 at level 1) raises ValueError.
     """
     image = rho(table, T).image
     w = [0.0] * table.mu
@@ -68,6 +70,8 @@ def cusp_solution(table, s):
             w[i] = start + 1.0
             i = image[i]
     folded = rho(table, S).apply(w)
+    if s == 0 and folded == w:
+        raise ValueError("the reference solution vanishes at s = 0, so there is nothing to check")
 
     def psi(z):
         factor = z ** (-2 * s)
@@ -143,31 +147,30 @@ def _partials(f, z, h):
     return dx, dy
 
 
-def eta_line_integral(u, v, path, steps=10000, fd_step=1e-3):
+def eta_line_integral(u, v, path, steps):
     """Composite-midpoint quadrature of the 1-form
 
         (v d_y u - u d_y v) dx + (u d_x v - v d_x u) dy
 
     along the polyline through the given vertices, with `steps` panels per
-    segment.  Partial derivatives use central differences with step
-    fd_step, so the whole path must stay fd_step inside the upper half
-    plane.  The form is closed when u and v are Laplace eigenfunctions
-    with equal eigenvalues.
+    segment and central differences of step ETA_FD_STEP, so the whole path
+    must stay that far inside the upper half plane.  The form is closed
+    when u and v are Laplace eigenfunctions with equal eigenvalues.
     """
     vertices = list(path)
     if len(vertices) < 2:
         raise ValueError("path needs at least two vertices")
     if steps < 1:
         raise ValueError("steps must be positive")
-    if min(z.imag for z in vertices) <= fd_step:
+    if min(z.imag for z in vertices) <= ETA_FD_STEP:
         raise ValueError("path must stay strictly above the real axis")
     total = 0.0
     for start, end in zip(vertices, vertices[1:]):
         dz = (end - start) / steps
         for k in range(steps):
             z = start + (k + 0.5) * dz
-            ux, uy = _partials(u, z, fd_step)
-            vx, vy = _partials(v, z, fd_step)
+            ux, uy = _partials(u, z, ETA_FD_STEP)
+            vx, vy = _partials(v, z, ETA_FD_STEP)
             uz, vz = u(z), v(z)
             total += (vz * uy - uz * vy) * dz.real + (uz * vx - vz * ux) * dz.imag
     return total

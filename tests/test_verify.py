@@ -20,16 +20,25 @@ def test_correct_operator_passes_every_check_for_every_s(n, m, s):
     assert failed(run_all_checks(n, m, s=s)) == set()
 
 
+def rotated(table, m):
+    """The operator with every column map f_B rotated by one row."""
+    op = vector_hecke(table, m)
+    return HeckeOperatorMatrix(op.n, op.m, [(mat, image[1:] + image[:1]) for mat, image in op.columns])
+
+
 @pytest.mark.parametrize("n,m", [(2, 3), (4, 3), (6, 5), (5, 5)])
 def test_rotated_column_maps_fail_run_all_checks(monkeypatch, n, m):
-    def rotated(table, m):
-        op = vector_hecke(table, m)
-        return HeckeOperatorMatrix(
-            op.n, op.m, [(mat, image[1:] + image[:1]) for mat, image in op.columns]
-        )
-
     monkeypatch.setattr(verify, "vector_hecke", rotated)
     assert "three-term-preserved" in failed(run_all_checks(n, m, s=0.5 + 3j))
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (4, 2), (6, 5), (9, 6), (12, 4)])
+def test_rotated_column_maps_fail_the_coset_records(monkeypatch, n, m):
+    # The records of phi fix the column of every (B, j), including rows
+    # with gcd(m, n) > 1 that B does not reach.
+    assert "coset-record-membership" not in failed(run_all_checks(n, m))
+    monkeypatch.setattr(verify, "vector_hecke", rotated)
+    assert "coset-record-membership" in failed(run_all_checks(n, m))
 
 
 def transposed(op):
@@ -81,8 +90,10 @@ def test_transfer_check_keeps_its_s_equal_one_reference():
 
 
 def test_a_vanishing_reference_solution_is_not_a_pass():
-    # At level 1 and s = 0 the reference w - z^0 rho(S) w is identically 0.
-    assert {"three-term-input", "three-term-preserved"} <= failed(run_all_checks(1, 2, s=0))
+    # At level 1 and s = 0 the reference w - z^0 rho(S) w is identically 0,
+    # so no check of it is run.
+    with pytest.raises(ValueError, match="reference solution vanishes"):
+        run_all_checks(1, 2, s=0)
 
 
 @pytest.mark.parametrize("n,m", [(5, 3), (1, 7)])
