@@ -1,11 +1,51 @@
 """Exact Hecke operator matrices on vector-valued period functions for the
 congruence subgroups Gamma0(n), plus the numeric checks that verify them.
+
+The package namespace is the union of the `__all__` lists of the five
+library modules below.  It is resolved lazily (PEP 562): importing the
+package or one of its submodules loads nothing else, and a public name
+loads its home module on first access and is then cached here.  So a CLI
+run that never touches the numeric layer never compiles it.
 """
 
-from .exact_core import *
-from .farey import *
-from .congruence import *
-from .hecke import *
-from .numeric import *
+import importlib
 
 __version__ = "0.1.0"
+
+# Each module's `__all__`, in order; tests/test_exports.py holds the two equal.
+_EXPORTS = {
+    "exact_core": (
+        "ExtendedRational", "IntMatrix2", "FormalSum", "xgcd", "divisors", "MINUS_INFINITY",
+        "INFINITY", "ZERO", "ONE", "I", "T", "S", "T_PRIME",
+    ),
+    "farey": (
+        "level", "farey_sequence", "left_neighbor", "lns", "chain_matrices", "m_of_q",
+        "is_minimal_partition",
+    ),
+    "congruence": (
+        "gamma0_contains", "gamma0_index", "CosetTable", "coset_table", "PermutationMatrix", "rho",
+        "coset_projection",
+    ),
+    "hecke": (
+        "gen_xm", "in_xm", "xm_representative", "sigma", "HeckeCosetRecord", "phi", "h_tilde",
+        "gen_sm", "in_sm", "HeckeOperatorMatrix", "vector_hecke",
+    ),
+    "numeric": (
+        "slash_eval", "constant_lift", "cusp_solution", "three_term_residual", "transfer_residual",
+        "r_zeta", "laplace_fd", "eta_line_integral", "apply_hecke_numeric", "hecke_image",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(importlib.import_module("." + home, __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

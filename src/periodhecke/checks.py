@@ -1,0 +1,146 @@
+"""The four check subcommands of the command line: check-three-term,
+check-laplace, check-eta-loop and verify-all.
+
+periodhecke.cli imports this module, and with it the numeric layer and
+verify, only when one of them runs.  Each cmd_* function takes the parsed
+arguments of its subcommand and returns what every subcommand of
+periodhecke.cli returns.  The caps stay in cli with the other caps and
+are read from it when a command runs.
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+
+from . import cli
+from .congruence import coset_table
+from .hecke import vector_hecke
+from .numeric import cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
+from .verify import RELATIVE_TOLERANCE, residual_and_scale, run_all_checks, sample_points
+
+# The fixed settings of the check commands.
+THREE_TERM_POINTS = 100
+LAPLACE_H = 1e-2
+LAPLACE_H2 = 1e-3
+LAPLACE_POINTS = 100
+LAPLACE_ORDER_WINDOW = 0.4
+ETA_PANELS = (32, 64, 128)
+ETA_MIN_RATIO = 3.0
+
+
+def _parse_complex(text):
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) not in (1, 2):
+        raise cli.UsageError("spectral parameter must be given as re or re,im")
+    if not all(math.isfinite(p) for p in parts):
+        raise cli.UsageError("spectral parameter must be finite, got %r" % text)
+    return complex(*parts)
+
+
+@contextmanager
+def _float_range(s_text):
+    """Report a spectral parameter that drives the weights z^(-2s) or the
+    kernel powers out of the floating-point range (an overflow, a division
+    by a power that underflowed to 0, or a result _finite rejects) as a
+    usage error."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        raise cli.UsageError(
+            "--s %s drives the numeric weights out of the floating-point range; "
+            "choose a smaller |s|" % s_text
+        ) from None
+
+
+def _finite(*values):
+    if not all(math.isfinite(abs(x)) for x in values):
+        raise OverflowError("non-finite numeric result")
+
+
+def cmd_check_three_term(args):
+    s = _parse_complex(args.s)
+    n, m = cli.operator_size_capped(args, cli.THREE_TERM_INDEX_CAP, cli.THREE_TERM_SIZE_CAP)
+    table = coset_table(n)
+    psi = cusp_solution(table, s)
+    op = vector_hecke(table, m)
+    with _float_range(args.s):
+        worst, largest = residual_and_scale(
+            hecke_image(op, psi, s), table, s, sample_points(THREE_TERM_POINTS)
+        )
+        _finite(worst, largest)
+    if largest == 0:
+        raise cli.UsageError("the Hecke image vanishes at --s %s, so there is nothing to check" % args.s)
+    relative = worst / largest
+    payload = {"max_residual": relative, "points": THREE_TERM_POINTS}
+    rows = [["max_residual", repr(relative)], ["points", str(THREE_TERM_POINTS)]]
+    return lambda: payload, lambda: rows, 0 if relative <= RELATIVE_TOLERANCE else 1
+
+
+def cmd_check_laplace(args):
+    s = _parse_complex(args.s)
+    if s * (1 - s) == 0:
+        raise cli.UsageError("--s must not be 0 or 1: the eigenvalue s(1-s) is 0, so no relative error exists")
+    zeta = 0.7
+    f = lambda z: r_zeta(z, zeta) ** s
+    worst_coarse = worst_fine = 0.0
+    with _float_range(args.s):
+        for k in range(LAPLACE_POINTS):
+            z0 = -1.5 + 3.0 * k / (LAPLACE_POINTS - 1) + 1j * (0.6 + 0.05 * k)
+            reference = s * (1 - s) * f(z0)
+            worst_coarse = max(worst_coarse, abs(laplace_fd(f, z0, LAPLACE_H) - reference) / abs(reference))
+            worst_fine = max(worst_fine, abs(laplace_fd(f, z0, LAPLACE_H2) - reference) / abs(reference))
+        _finite(worst_coarse, worst_fine)
+        order = math.log(worst_coarse / worst_fine) / math.log(LAPLACE_H / LAPLACE_H2)
+    payload = {
+        "error_h": worst_coarse,
+        "error_h2": worst_fine,
+        "h": LAPLACE_H,
+        "h2": LAPLACE_H2,
+        "order": order,
+    }
+    rows = [[k, repr(payload[k])] for k in sorted(payload)]
+    code = 0 if abs(order - 2.0) <= LAPLACE_ORDER_WINDOW else 1
+    return lambda: payload, lambda: rows, code
+
+
+def cmd_check_eta_loop(args):
+    s = _parse_complex(args.s)
+    u = lambda z: r_zeta(z, -1.5) ** s
+    v = lambda z: r_zeta(z, 3.0) ** s
+    loop = [0.2 + 0.5j, 1.2 + 0.5j, 1.2 + 1.5j, 0.2 + 1.5j, 0.2 + 0.5j]
+    with _float_range(args.s):
+        magnitudes = [abs(eta_line_integral(u, v, loop, steps=p)) for p in ETA_PANELS]
+        _finite(*magnitudes)
+        ratios = [coarse / fine for coarse, fine in zip(magnitudes, magnitudes[1:])]
+    payload = {"magnitudes": magnitudes, "panels": ETA_PANELS, "ratios": ratios}
+    rows = [
+        ["panels", " ".join(str(p) for p in ETA_PANELS)],
+        ["magnitudes", " ".join(repr(x) for x in magnitudes)],
+        ["ratios", " ".join(repr(x) for x in ratios)],
+    ]
+    code = 0 if all(r > ETA_MIN_RATIO for r in ratios) else 1
+    return lambda: payload, lambda: rows, code
+
+
+def cmd_verify_all(args):
+    s = _parse_complex(args.s)
+    n, m = cli.operator_size_capped(args, cli.VERIFY_INDEX_CAP, cli.VERIFY_SIZE_CAP)
+    with _float_range(args.s):
+        checks = run_all_checks(n, m, s=s)
+    all_pass = all(passed for _, passed, _ in checks)
+    payload = {
+        "all_pass": all_pass,
+        "checks": [
+            {"detail": detail, "name": name, "pass": passed}
+            for name, passed, detail in checks
+        ],
+        "m": args.m,
+        "n": args.n,
+    }
+    rows = [[name, "pass" if passed else "FAIL", detail] for name, passed, detail in checks]
+    rows.append(["all_pass", "pass" if all_pass else "FAIL", ""])
+    return lambda: payload, lambda: rows, 0 if all_pass else 1

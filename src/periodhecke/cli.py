@@ -4,23 +4,23 @@ Every subcommand prints a machine-readable payload (JSON by default, TSV
 via --format tsv) that is byte-identical across runs for identical
 arguments.  Exit codes: 0 success / all checks passed, 1 a numeric check
 failed its tolerance, 2 usage or precondition error.
+
+This module loads only the exact layers (exact_core, farey, congruence,
+hecke).  The check subcommands live in periodhecke.checks, which loads the
+numeric layer and verify, and are imported only when a check runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
-from contextlib import contextmanager
 
 from .congruence import coset_table, gamma0_index, rho
 from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME, divisors
 from .farey import farey_sequence, level, lns, m_of_q
 from .hecke import gen_sm, gen_xm, h_tilde, sigma, vector_hecke
-from .numeric import cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
-from .verify import RELATIVE_TOLERANCE, residual_and_scale, run_all_checks, sample_points
 
 # Largest accepted levels and Hecke indices, so that no command runs for
 # minutes.  `farey --n` lists about 1.2 n^2 rationals (3 MB of JSON at 500).
@@ -44,15 +44,6 @@ VERIFY_INDEX_CAP = 250
 VECTOR_SIZE_CAP = 12000
 THREE_TERM_SIZE_CAP = 9000
 VERIFY_SIZE_CAP = 20000
-
-# The fixed settings of the check commands.
-THREE_TERM_POINTS = 100
-LAPLACE_H = 1e-2
-LAPLACE_H2 = 1e-3
-LAPLACE_POINTS = 100
-LAPLACE_ORDER_WINDOW = 0.4
-ETA_PANELS = (32, 64, 128)
-ETA_MIN_RATIO = 3.0
 
 
 class UsageError(ValueError):
@@ -78,25 +69,13 @@ def _parse_matrix(text):
         raise UsageError("matrix entries must be integers") from None
 
 
-def _parse_complex(text):
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError:
-        parts = []
-    if len(parts) not in (1, 2):
-        raise UsageError("spectral parameter must be given as re or re,im")
-    if not all(math.isfinite(p) for p in parts):
-        raise UsageError("spectral parameter must be finite, got %r" % text)
-    return complex(*parts)
-
-
 def _capped(value, cap, flag="--n"):
     if value > cap:
         raise UsageError("%s must be at most %d, got %d" % (flag, cap, value))
     return value
 
 
-def _operator_size_capped(args, index_cap, size_cap, merel=True):
+def operator_size_capped(args, index_cap, size_cap, merel=True):
     """--n and --m within their caps and mu(n) * |S_m| within size_cap,
     |S_m| counted as the total chain length over X_m; hecke-vector
     (merel=False) caps mu(n) * sigma(m), sigma(m) the divisor sum."""
@@ -113,26 +92,6 @@ def _operator_size_capped(args, index_cap, size_cap, merel=True):
             "mu(n)*%s must be at most %d, got %d for --n %d --m %d" % (label, size_cap, size, n, m)
         )
     return n, m
-
-
-@contextmanager
-def _float_range(s_text):
-    """Report a spectral parameter that drives the weights z^(-2s) or the
-    kernel powers out of the floating-point range (an overflow, a division
-    by a power that underflowed to 0, or a result _finite rejects) as a
-    usage error."""
-    try:
-        yield
-    except (OverflowError, ZeroDivisionError):
-        raise UsageError(
-            "--s %s drives the numeric weights out of the floating-point range; "
-            "choose a smaller |s|" % s_text
-        ) from None
-
-
-def _finite(*values):
-    if not all(math.isfinite(abs(x)) for x in values):
-        raise OverflowError("non-finite numeric result")
 
 
 def _attach_dash_values(argv):
@@ -246,7 +205,7 @@ def _cmd_hecke_scalar(args):
 
 
 def _cmd_hecke_vector(args):
-    n, m = _operator_size_capped(args, VECTOR_INDEX_CAP, VECTOR_SIZE_CAP, merel=False)
+    n, m = operator_size_capped(args, VECTOR_INDEX_CAP, VECTOR_SIZE_CAP, merel=False)
     op = vector_hecke(coset_table(n), m)
     return op.to_json_obj, lambda: _tsv_operator(op), 0
 
@@ -256,89 +215,12 @@ def _cmd_sm(args):
     return lambda: [g.rows() for g in mats], lambda: [_flat_rows(g) for g in mats], 0
 
 
-def _cmd_check_three_term(args):
-    s = _parse_complex(args.s)
-    n, m = _operator_size_capped(args, THREE_TERM_INDEX_CAP, THREE_TERM_SIZE_CAP)
-    table = coset_table(n)
-    psi = cusp_solution(table, s)
-    op = vector_hecke(table, m)
-    with _float_range(args.s):
-        worst, largest = residual_and_scale(
-            hecke_image(op, psi, s), table, s, sample_points(THREE_TERM_POINTS)
-        )
-        _finite(worst, largest)
-    if largest == 0:
-        raise UsageError("the Hecke image vanishes at --s %s, so there is nothing to check" % args.s)
-    relative = worst / largest
-    payload = {"max_residual": relative, "points": THREE_TERM_POINTS}
-    rows = [["max_residual", repr(relative)], ["points", str(THREE_TERM_POINTS)]]
-    return lambda: payload, lambda: rows, 0 if relative <= RELATIVE_TOLERANCE else 1
+def _cmd_check(args):
+    """A check subcommand: checks.cmd_<name> with the dashes of the name
+    read as underscores."""
+    from . import checks
 
-
-def _cmd_check_laplace(args):
-    s = _parse_complex(args.s)
-    if s * (1 - s) == 0:
-        raise UsageError("--s must not be 0 or 1: the eigenvalue s(1-s) is 0, so no relative error exists")
-    zeta = 0.7
-    f = lambda z: r_zeta(z, zeta) ** s
-    worst_coarse = worst_fine = 0.0
-    with _float_range(args.s):
-        for k in range(LAPLACE_POINTS):
-            z0 = -1.5 + 3.0 * k / (LAPLACE_POINTS - 1) + 1j * (0.6 + 0.05 * k)
-            reference = s * (1 - s) * f(z0)
-            worst_coarse = max(worst_coarse, abs(laplace_fd(f, z0, LAPLACE_H) - reference) / abs(reference))
-            worst_fine = max(worst_fine, abs(laplace_fd(f, z0, LAPLACE_H2) - reference) / abs(reference))
-        _finite(worst_coarse, worst_fine)
-        order = math.log(worst_coarse / worst_fine) / math.log(LAPLACE_H / LAPLACE_H2)
-    payload = {
-        "error_h": worst_coarse,
-        "error_h2": worst_fine,
-        "h": LAPLACE_H,
-        "h2": LAPLACE_H2,
-        "order": order,
-    }
-    rows = [[k, repr(payload[k])] for k in sorted(payload)]
-    code = 0 if abs(order - 2.0) <= LAPLACE_ORDER_WINDOW else 1
-    return lambda: payload, lambda: rows, code
-
-
-def _cmd_check_eta_loop(args):
-    s = _parse_complex(args.s)
-    u = lambda z: r_zeta(z, -1.5) ** s
-    v = lambda z: r_zeta(z, 3.0) ** s
-    loop = [0.2 + 0.5j, 1.2 + 0.5j, 1.2 + 1.5j, 0.2 + 1.5j, 0.2 + 0.5j]
-    with _float_range(args.s):
-        magnitudes = [abs(eta_line_integral(u, v, loop, steps=p)) for p in ETA_PANELS]
-        _finite(*magnitudes)
-        ratios = [coarse / fine for coarse, fine in zip(magnitudes, magnitudes[1:])]
-    payload = {"magnitudes": magnitudes, "panels": ETA_PANELS, "ratios": ratios}
-    rows = [
-        ["panels", " ".join(str(p) for p in ETA_PANELS)],
-        ["magnitudes", " ".join(repr(x) for x in magnitudes)],
-        ["ratios", " ".join(repr(x) for x in ratios)],
-    ]
-    code = 0 if all(r > ETA_MIN_RATIO for r in ratios) else 1
-    return lambda: payload, lambda: rows, code
-
-
-def _cmd_verify_all(args):
-    s = _parse_complex(args.s)
-    n, m = _operator_size_capped(args, VERIFY_INDEX_CAP, VERIFY_SIZE_CAP)
-    with _float_range(args.s):
-        checks = run_all_checks(n, m, s=s)
-    all_pass = all(passed for _, passed, _ in checks)
-    payload = {
-        "all_pass": all_pass,
-        "checks": [
-            {"detail": detail, "name": name, "pass": passed}
-            for name, passed, detail in checks
-        ],
-        "m": args.m,
-        "n": args.n,
-    }
-    rows = [[name, "pass" if passed else "FAIL", detail] for name, passed, detail in checks]
-    rows.append(["all_pass", "pass" if all_pass else "FAIL", ""])
-    return lambda: payload, lambda: rows, 0 if all_pass else 1
+    return getattr(checks, "cmd_" + args.command.replace("-", "_"))(args)
 
 
 def build_parser():
@@ -368,10 +250,10 @@ def build_parser():
     add("hecke-scalar", _cmd_hecke_scalar, m=m_flag)
     add("hecke-vector", _cmd_hecke_vector, n=n_flag, m=m_flag)
     add("sm", _cmd_sm, m=m_flag)
-    add("check-three-term", _cmd_check_three_term, n=n_flag, m=m_flag, s={"default": "1,0"})
-    add("check-laplace", _cmd_check_laplace, s={"default": "0.9,0"})
-    add("check-eta-loop", _cmd_check_eta_loop, s={"default": "0.8,0"})
-    add("verify-all", _cmd_verify_all, n=n_flag, m=m_flag, s={"default": "1,0"})
+    add("check-three-term", _cmd_check, n=n_flag, m=m_flag, s={"default": "1,0"})
+    add("check-laplace", _cmd_check, s={"default": "0.9,0"})
+    add("check-eta-loop", _cmd_check, s={"default": "0.8,0"})
+    add("verify-all", _cmd_check, n=n_flag, m=m_flag, s={"default": "1,0"})
     return parser
 
 

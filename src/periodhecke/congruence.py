@@ -159,10 +159,14 @@ class CosetTable(Frozen):
         return self.index_of_row(g.c, g.d)
 
     def index_of_row(self, c, d):
-        """The coset of every det +-1 matrix with bottom row (c, d)."""
+        """The coset of every det +-1 matrix with bottom row (c, d).  (c, d)
+        must be a point of P^1(Z/nZ), gcd(c, d, n) = 1; every pair in the
+        dict is one, so only a miss checks."""
         pair = (c % self.n, d % self.n)
         index = self._index_of_pair.get(pair)
         if index is None:
+            if math.gcd(*pair, self.n) != 1:
+                raise ValueError("row (%d, %d) is not a point of P^1(Z/%dZ)" % (c, d, self.n))
             index = self._index_of_pair[pair] = self._index_of_pair[_p1_key(self.n, *pair)]
         return index
 

@@ -147,14 +147,15 @@ MUTANTS = [
 
 def test_check_failure_exits_one(capsys, monkeypatch):
     # Every check can fail at its fixed settings: each passes as it is and
-    # exits 1, still printing a valid payload, with its mutant patched in.
-    from periodhecke import cli
+    # exits 1, still printing a valid payload, with its mutant patched in
+    # where the check subcommands read it.
+    from periodhecke import checks
 
     for argv, target, mutant in MUTANTS:
         assert main(argv) == 0
         validate(argv[0], json.loads(capsys.readouterr().out))
         with monkeypatch.context() as patch:
-            patch.setattr(cli, target, mutant)
+            patch.setattr(checks, target, mutant)
             assert main(argv) == 1, argv[0]
         validate(argv[0], json.loads(capsys.readouterr().out))
 
@@ -170,6 +171,52 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == ["-1/0", "0/1", "1/0"]
+
+
+def modules_loaded_by(script):
+    """The periodhecke modules a fresh interpreter holds after running script."""
+    import subprocess
+    import sys
+
+    probe = script + "\nimport json, sys\nprint(json.dumps([k for k in sys.modules if k.startswith('periodhecke')]))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+EXACT_LAYERS = {"periodhecke." + name for name in ("exact_core", "farey", "congruence", "hecke")}
+CHECK_MODULES = {"periodhecke.numeric", "periodhecke.verify", "periodhecke.checks"}
+
+
+def run_main(argv):
+    return "from periodhecke.cli import main\nimport os\nassert main(%r + ['--out', os.devnull]) == 0" % argv
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import periodhecke.cli",
+        "from periodhecke import cli",
+        run_main(["hecke-scalar", "--m", "6"]),
+        run_main(["cosets", "--n", "12"]),
+        run_main(["rho", "--n", "12", "--word", "TST'"]),
+        run_main(["lns", "--q", "5/13"]),
+        run_main(["hecke-vector", "--n", "6", "--m", "5"]),
+    ],
+    ids=["import", "from-import", "hecke-scalar", "cosets", "rho", "lns", "hecke-vector"],
+)
+def test_a_cold_cli_run_loads_only_the_exact_layers(script):
+    # The exact layers load with cli, before any traced run wraps them.
+    assert modules_loaded_by(script) == {"periodhecke", "periodhecke.cli"} | EXACT_LAYERS
+
+
+def test_a_check_subcommand_loads_the_numeric_layers():
+    assert CHECK_MODULES <= modules_loaded_by(run_main(["check-three-term", "--n", "2", "--m", "3"]))
+
+
+def test_the_package_alone_loads_no_module():
+    script = "import periodhecke\nassert not hasattr(periodhecke, 'no_such_name')\nassert 'hecke_image' in dir(periodhecke)"
+    assert modules_loaded_by(script) == {"periodhecke"}
 
 
 def test_verify_all_passes_reference_instance(capsys):
@@ -282,6 +329,13 @@ def test_vanishing_reference_solution_exits_two(capsys):
         assert "reference solution vanishes" in captured.err
 
 
+def work_module(command):
+    """The module whose globals the subcommand's body reads its work from."""
+    from periodhecke import checks, cli
+
+    return checks if command in ("check-three-term", "verify-all") else cli
+
+
 @pytest.mark.parametrize(
     "command,target,cap",
     [
@@ -303,7 +357,7 @@ def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, comm
     def forbidden(*args, **kwargs):
         raise AssertionError("%s was started" % target)
 
-    monkeypatch.setattr(cli, target, forbidden)
+    monkeypatch.setattr(work_module(command), target, forbidden)
     limit = getattr(cli, cap)
     # A level cap is exceeded at --m 2, an index cap at level 1.
     flag, other = ("--m", ["--n", "1"]) if "INDEX" in cap else ("--n", ["--m", "2"])
@@ -312,6 +366,9 @@ def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "%s must be at most %d, got %d" % (flag, limit, limit + 1) in captured.err
+    # The patch is live: the cap itself is admitted and reaches the work.
+    with pytest.raises(AssertionError, match="was started"):
+        main([command, flag, str(limit)] + extra.get(command, []))
 
 
 
@@ -329,7 +386,7 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
     def forbidden(*args, **kwargs):
         raise AssertionError("%s was started" % target)
 
-    monkeypatch.setattr(cli, target, forbidden)
+    monkeypatch.setattr(work_module(command), target, forbidden)
     argv = [command, "--n", "400", "--m", "61"]
     size = 720 * count  # mu(400) * sigma(61) or |S_61|, each within its own cap
     assert size > getattr(cli, cap)
@@ -348,17 +405,18 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
 def test_the_size_cap_counts_every_member_of_x_m(capsys, monkeypatch):
     # mu(n) * sigma(m) is under the cap, but every (j, B) with B in S_m is
     # visited: the chain of each member of X_m counts with its length.
-    from periodhecke import cli
+    from periodhecke import checks, cli
 
     def forbidden(*args, **kwargs):
         raise AssertionError("work was started")
 
-    monkeypatch.setattr(cli, "coset_table", forbidden)
-    monkeypatch.setattr(cli, "run_all_checks", forbidden)
-    for command, cap, n, m in [
-        ("check-three-term", cli.THREE_TERM_SIZE_CAP, 19, 109),
-        ("verify-all", cli.VERIFY_SIZE_CAP, 23, 241),
+    monkeypatch.setattr(checks, "coset_table", forbidden)
+    monkeypatch.setattr(checks, "run_all_checks", forbidden)
+    for command, cap_name, n, m in [
+        ("check-three-term", "THREE_TERM_SIZE_CAP", 19, 109),
+        ("verify-all", "VERIFY_SIZE_CAP", 23, 241),
     ]:
+        cap = getattr(cli, cap_name)
         mu = gamma0_index(n)
         size = mu * len(gen_sm(m))
         assert mu * sum(divisors(m)) <= cap < size
@@ -366,6 +424,11 @@ def test_the_size_cap_counts_every_member_of_x_m(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "mu(n)*|S_m| must be at most %d, got %d for --n %d --m %d" % (cap, size, n, m) in captured.err
+        # The patches are live: a cap of exactly mu(n)*|S_m| reaches the work.
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, cap_name, size)
+            with pytest.raises(AssertionError, match="was started"):
+                main([command, "--n", str(n), "--m", str(m)])
 
 
 @pytest.mark.parametrize("command,target", [("lns", "lns"), ("mq", "m_of_q")])

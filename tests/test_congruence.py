@@ -166,6 +166,15 @@ def test_index_of_row_equals_index_on_large_matrices(n):
         assert by_row.index_of_row(g.c, g.d) == by_matrix.index(g)
 
 
+@pytest.mark.parametrize("row", [(0, 2), (2, 4), (3, 3), (2, 0)])
+def test_index_of_row_rejects_a_row_off_the_projective_line(row):
+    # gcd(c, d, 12) > 1: no coset has this bottom row, and no answer is cached.
+    table = CosetTable(12)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"row \(%d, %d\) is not a point of P\^1\(Z/12Z\)" % row):
+            table.index_of_row(*row)
+
+
 def test_gamma0_contains_examples():
     assert gamma0_contains(2, T)
     assert not gamma0_contains(2, S)

@@ -1,4 +1,6 @@
 import collections
+import subprocess
+import sys
 import types
 
 import periodhecke
@@ -8,11 +10,20 @@ LIBRARY_MODULES = [exact_core, farey, congruence, hecke, numeric]
 
 
 def public_package_names():
+    # dir(), not vars(): the package binds a name only on its first access.
     return {
         name
-        for name, value in vars(periodhecke).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(periodhecke)
+        if not name.startswith("_") and not isinstance(getattr(periodhecke, name), types.ModuleType)
     }
+
+
+def test_the_package_name_table_is_each_module_all_list():
+    # The package lists every module's names without importing the module.
+    assert periodhecke._EXPORTS == {
+        module.__name__.rpartition(".")[2]: tuple(module.__all__) for module in LIBRARY_MODULES
+    }
+    assert sorted(periodhecke.__all__) == sorted(public_package_names())
 
 
 def test_every_module_export_is_a_package_attribute():
@@ -37,3 +48,16 @@ def test_every_package_attribute_is_the_object_its_module_defines():
     home = {name: module for module in LIBRARY_MODULES for name in module.__all__}
     for name in public_package_names():
         assert getattr(periodhecke, name) is getattr(home[name], name), name
+
+
+def test_a_star_import_binds_every_module_export():
+    # In a fresh interpreter, where no module of the package is loaded yet.
+    script = """
+from periodhecke import *
+from periodhecke import congruence, exact_core, farey, hecke, numeric
+modules = [exact_core, farey, congruence, hecke, numeric]
+missing = [n for m in modules for n in m.__all__ if globals().get(n) is not getattr(m, n)]
+assert missing == [], missing
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
