@@ -233,14 +233,21 @@ class PermutationMatrix(Frozen):
         return "PermutationMatrix(%r)" % (list(self.image),)
 
 
+@lru_cache(maxsize=128)
 def rho(table, g):
     """The induced permutation matrix with entry (i, j) = 1 iff
-    reps[i] * g * reps[j]^-1 lies in Gamma0(n).
+    reps[i] * g * reps[j]^-1 lies in Gamma0(n), memoised per (table, g):
+    repeated calls return the same immutable matrix.
 
     Satisfies rho(g') @ rho(g) == rho(g' * g).  Determinant -1 arguments are
-    accepted through the same coset key (see module docstring).
+    accepted through the same coset key (see module docstring).  Row i is
+    the coset of the bottom row (c, d) * g of reps[i] * g.
     """
-    return PermutationMatrix(table.index(rep * g) for rep in table.reps)
+    if g.det not in (1, -1):
+        raise ValueError("coset lookup needs determinant +-1, got %d" % g.det)
+    a, b, c, d = g.key
+    index_of_row = table.index_of_row
+    return PermutationMatrix(index_of_row(r.c * a + r.d * c, r.c * b + r.d * d) for r in table.reps)
 
 
 def coset_projection(m, n):

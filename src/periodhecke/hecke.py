@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .exact_core import ExtendedRational, FormalSum, Frozen, IntMatrix2, divisors, xgcd
 from .farey import chain_matrices
@@ -247,9 +248,12 @@ class HeckeOperatorMatrix(Frozen):
         return "HeckeOperatorMatrix(n=%d, m=%d, mu=%d)" % (self.n, self.m, self.mu)
 
 
+@lru_cache(maxsize=32)
 def vector_hecke(table, m):
     """Assemble the m-th Hecke operator for the given coset table, m >= 1,
     as Merel's action of S_m on the cosets, the points of P^1(Z/nZ).
+    Memoised per (table, m): repeated calls return the same immutable
+    operator.
 
     The defining set is {A = (a b; 0 d) in X_m : gcd(a, n) = 1}, the usual
     one for T_m on Gamma0(n): all of X_m when gcd(m, n) = 1, and T_1 is the

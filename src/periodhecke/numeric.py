@@ -11,8 +11,6 @@ complex number; vector handles return a sequence of component values.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .congruence import rho
 from .exact_core import IntMatrix2, S, T, T_PRIME
 
@@ -29,7 +27,10 @@ __all__ = [
     "hecke_image",
 ]
 
+# The words whose permutations the residuals apply: T^-1 and T'^-1, and
 # (0 1; 1 0) * T'^-1, the determinant -1 word of the transfer variant.
+_T_INVERSE = T.inverse()
+_T_PRIME_INVERSE = T_PRIME.inverse()
 _TRANSFER_PERM_WORD = IntMatrix2(-1, 1, 1, 0)
 ETA_FD_STEP = 1e-5
 
@@ -80,13 +81,6 @@ def cusp_solution(table, s):
     return psi
 
 
-@lru_cache(maxsize=64)
-def _rho_cached(table, word):
-    """rho(table, word) for the few fixed words of the residuals, kept for
-    the most recently used tables."""
-    return rho(table, word)
-
-
 def _defect(psi, table, zeta, word, other):
     """Componentwise psi(zeta) - rho(T^-1) psi(zeta+1) - c rho(word) psi(x)
     at zeta > 0, where (c, x) = other(zeta) is computed after the check:
@@ -94,8 +88,8 @@ def _defect(psi, table, zeta, word, other):
     if not zeta > 0:
         raise ValueError("residuals are evaluated on (0, infinity)")
     c, x = other(zeta)
-    perm_t = _rho_cached(table, T.inverse())
-    perm_w = _rho_cached(table, word)
+    perm_t = rho(table, _T_INVERSE)
+    perm_w = rho(table, word)
     base = psi(zeta)
     shifted = perm_t.apply(psi(zeta + 1))
     moved = perm_w.apply(psi(x))
@@ -109,7 +103,7 @@ def three_term_residual(psi, table, s, zeta):
 
     Zero for period(-like) functions with spectral parameter s.
     """
-    return _defect(psi, table, zeta, T_PRIME.inverse(), lambda z: ((z + 1) ** (-2 * s), z / (z + 1)))
+    return _defect(psi, table, zeta, _T_PRIME_INVERSE, lambda z: ((z + 1) ** (-2 * s), z / (z + 1)))
 
 
 def transfer_residual(psi, table, s, sign, zeta):

@@ -338,6 +338,46 @@ def test_rho_accepts_determinant_minus_one():
         assert sorted(perm.image) == list(range(table.mu))
 
 
+@pytest.mark.parametrize("n", [1, 6, 45, 114, 268])
+def test_rho_rows_are_the_cosets_of_the_products(n):
+    # Row i is the coset of reps[i] * g, for words of either determinant.
+    table = coset_table(n)
+    rng = random.Random(500 + n)
+    for det in (1, -1) * 10:
+        g = random_unimodular(rng, det, 50)
+        assert rho(table, g).image == tuple(table.index(rep * g) for rep in table.reps)
+
+
+def test_rho_returns_one_shared_matrix_per_table_and_word():
+    table = coset_table(10)
+    word = S * T * T_PRIME
+    assert rho(table, word) is rho(table, word)
+    # Equal words are one key.
+    assert rho(table, IntMatrix2(*word.key)) is rho(table, word)
+
+
+def test_a_table_with_reordered_reps_gets_its_own_permutation():
+    n = 6
+    canonical = coset_table(n)
+    order = list(range(canonical.mu))
+    random.Random(14).shuffle(order)
+    permuted = CosetTable(n, [canonical.reps[k] for k in order])
+    relabel = PermutationMatrix(order)
+    words = [T, S, T_PRIME, S * T * T_PRIME]
+    for g in words:
+        own = rho(canonical, g)
+        assert rho(permuted, g) == relabel @ own @ relabel.inverse()
+    assert any(rho(permuted, g) != rho(canonical, g) for g in words)
+
+
+@pytest.mark.parametrize("n", [1, 7, 12])
+def test_rho_rejects_a_word_of_determinant_other_than_plus_minus_one(n):
+    table = coset_table(n)
+    for _ in range(2):  # a failed call leaves nothing in the memo
+        with pytest.raises(ValueError, match=r"determinant \+-1, got 2"):
+            rho(table, IntMatrix2(2, 0, 0, 1))
+
+
 def test_coset_projection_identity_and_fibers():
     assert coset_projection(1, 3) == list(range(coset_table(3).mu))
     chi = coset_projection(2, 2)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from periodhecke.congruence import coset_table, gamma0_contains
+from periodhecke.congruence import CosetTable, PermutationMatrix, coset_table, gamma0_contains
 from periodhecke.exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T
 from periodhecke.farey import chain_matrices
 from periodhecke.hecke import (
@@ -314,7 +314,7 @@ def test_hecke_operator_matrix_rejects_bad_column_maps():
         HeckeOperatorMatrix(1, 2, [[[IntMatrix2(1, 0, 0, 2), IntMatrix2(1, 0, 0, 2)]]])
 
 
-def test_vector_hecke_rejects_a_chain_that_repeats_a_matrix(monkeypatch):
+def test_vector_hecke_rejects_a_chain_that_repeats_a_matrix(monkeypatch, fresh_caches):
     from periodhecke import hecke
 
     real = hecke.chain_matrices
@@ -390,7 +390,7 @@ def test_vector_hecke_equals_the_reference_assembly(m):
 
 
 @pytest.mark.parametrize("n,m", [(1, 5), (30, 7), (114, 5)])
-def test_vector_hecke_builds_one_chain_per_member_of_x_m(monkeypatch, n, m):
+def test_vector_hecke_builds_one_chain_per_member_of_x_m(monkeypatch, fresh_caches, n, m):
     from periodhecke import hecke
 
     calls = []
@@ -398,6 +398,36 @@ def test_vector_hecke_builds_one_chain_per_member_of_x_m(monkeypatch, n, m):
     monkeypatch.setattr(hecke, "chain_matrices", lambda q: calls.append(q) or real(q))
     vector_hecke(coset_table(n), m)
     assert len(calls) == len(gen_xm(m))
+
+
+def test_vector_hecke_returns_one_shared_operator_per_table_and_index():
+    table = coset_table(12)
+    assert vector_hecke(table, 5) is vector_hecke(table, 5)
+    assert vector_hecke(table, 7) is not vector_hecke(table, 5)
+
+
+def test_a_table_with_reordered_reps_gets_its_own_operator():
+    # Row j of the reordered table is row order[j] of the canonical one,
+    # and its column inverse[i] is canonical column i.
+    n, m = 6, 5
+    canonical = coset_table(n)
+    order = list(range(canonical.mu))
+    random.Random(15).shuffle(order)
+    permuted = CosetTable(n, [canonical.reps[k] for k in order])
+    inverse = PermutationMatrix(order).inverse().image
+    op = vector_hecke(canonical, m)
+    relabelled = HeckeOperatorMatrix(
+        n, m, [(mat, [None if image[k] is None else inverse[image[k]] for k in order]) for mat, image in op.columns]
+    )
+    assert relabelled != op
+    assert vector_hecke(permuted, m) == relabelled
+
+
+def test_vector_hecke_rejects_index_zero_on_every_call():
+    table = coset_table(4)
+    for _ in range(2):  # a failed call leaves nothing in the memo
+        with pytest.raises(ValueError, match="positive"):
+            vector_hecke(table, 0)
 
 
 def test_a_wrong_sigma_fails_the_exact_division(monkeypatch):

@@ -352,18 +352,25 @@ def test_cusp_solution_weights_each_cusp_differently():
 
 def test_residuals_build_their_permutations_once_per_table(monkeypatch):
     from periodhecke.congruence import CosetTable
+    from periodhecke.numeric import _T_INVERSE
 
     table = coset_table(14)
     psi = constant_lift(reciprocal, table.mu)
     three_term_residual(psi, table, 1, 0.5)
     transfer_residual(psi, table, 1, 1, 0.5)
     calls = []
-    original = CosetTable.index
-    monkeypatch.setattr(CosetTable, "index", lambda self, g: calls.append(g) or original(self, g))
+    original = CosetTable.index_of_row
+    monkeypatch.setattr(
+        CosetTable, "index_of_row", lambda self, c, d: calls.append((c, d)) or original(self, c, d)
+    )
     for zeta in (0.2, 0.7, 3.0):
         three_term_residual(psi, table, 1, zeta)
         transfer_residual(psi, table, 1, 1, zeta)
     assert calls == []
-    from periodhecke import numeric
-
-    assert numeric._rho_cached.cache_info().maxsize is not None
+    # The watch is live: a table no permutation was built for yet (equal
+    # reps, but another object) looks each of its rows up.
+    rho(CosetTable(14, table.reps), _T_INVERSE)
+    assert len(calls) == table.mu
+    # Both memos are bounded.
+    assert rho.cache_info().maxsize is not None
+    assert vector_hecke.cache_info().maxsize is not None

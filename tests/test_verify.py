@@ -178,7 +178,7 @@ def test_a_nan_at_a_later_point_exits_check_three_term_with_two(capsys, monkeypa
     assert "out of the floating-point range" in captured.err
 
 
-def test_a_divisor_helper_that_drops_m_fails_xm_size(monkeypatch):
+def test_a_divisor_helper_that_drops_m_fails_xm_size(monkeypatch, fresh_caches):
     # The helper is wrong wherever it is bound, as a bug in it would be.
     real = hecke.divisors
     for module in (exact_core, hecke, verify):
