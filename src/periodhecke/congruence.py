@@ -73,19 +73,27 @@ def _p1_key(n, c, d):
 
 
 def _minimal_reps(n):
-    """For every coset key, (max entry, (a, b, c, d)) of the determinant-1
-    matrix with that key minimizing max(|a|,|b|,|c|,|d|), ties broken
-    lexicographically.  One sweep over the shells max(|c|, |d|) = B; a
-    coset is settled once its best is <= B.  Only pairs of the classes
-    (gcd(c, n), gcd(d, n)) = (g, e) with cosets unsettled, phi(n / (g*e))
-    at first, are visited, and the sweep stops when none is left."""
+    """For every coset key, the (a, b, c, d) of the determinant-1 matrix
+    with that key minimizing max(|a|,|b|,|c|,|d|), ties broken
+    lexicographically.
+
+    Lemma: every primitive (c, d) has a lift (a b; c d) with |a|, |b| <= B
+    = max(|c|, |d|).  B = 1 and c = 0 (then d = +-1) check by hand;
+    otherwise a = d^-1 mod c taken in [-|c|/2, |c|/2] gives
+    |b| = |a*d - 1| / |c| <= B/2 + 1 <= B.  So a coset's representative
+    is the least (a, b, c, d) offered by the first shell max(|c|, |d|) = B
+    that reaches it.  Of the lifts (x + t*c, y + t*d), only t within 1 of
+    the pivot -x/c (or -y/d) of the entry with |.| = B can qualify, so t
+    runs from floor(pivot) - 1 to floor(pivot) + 1.  Only pairs of the
+    classes (gcd(c, n), gcd(d, n)) = (g, e) with cosets unreached,
+    phi(n / (g*e)) at first, are visited, and the sweep stops when none is
+    left."""
     def with_gcd(g, bound):  # the x with |x| <= bound and gcd(x, n) == g
         return [x for x in range(-(bound // g) * g, bound + 1, g) if math.gcd(x, n) == g]
     parts = divisors(n)
     pending = {(g, e): sum(math.gcd(u, n // g // e) == 1 for u in range(n // g // e))
                for g in parts for e in parts if math.gcd(g, e) == 1}
     best = {}
-    unsettled = set()
     bound = 0
     while pending:
         bound += 1
@@ -94,27 +102,23 @@ def _minimal_reps(n):
         columns = {e for g, e in pending if g == edge}
         pairs = [(c, d) for g in rows for c in with_gcd(g, bound - 1) for d in (-bound, bound)]
         pairs += [(c, d) for e in columns for d in with_gcd(e, bound) for c in (-bound, bound)]
+        offered = {}
         for c, d in pairs:
             if math.gcd(c, d) != 1:
                 continue
             key = _p1_key(n, c, d)
-            held = best.get(key)
-            if held is None:
-                unsettled.add(key)
-            elif held[0] < bound:
+            if key in best:
                 continue
             # a*d - b*c = 1 with (a, b) = (x + t*c, y + t*d).
             _, x, y = xgcd(d, -c)
-            pivots = ([-x / c] if c else []) + ([-y / d] if d else [])
-            for t in range(math.floor(min(pivots)) - 2, math.ceil(max(pivots)) + 3):
+            pivot = -x // c if abs(c) == bound else -y // d
+            for t in range(pivot - 1, pivot + 2):
                 a, b = x + t * c, y + t * d
-                cand = (max(abs(a), abs(b), bound), (a, b, c, d))
-                if held is None or cand < held:
-                    held = cand
-            best[key] = held
-        for g, r in [key for key in unsettled if best[key][0] == bound]:
-            unsettled.remove((g, r))
+                if abs(a) <= bound and abs(b) <= bound and (key not in offered or (a, b, c, d) < offered[key]):
+                    offered[key] = (a, b, c, d)
+        for g, r in offered:
             pending[math.gcd(g, n), math.gcd(r, n)] -= 1
+        best.update(offered)
         pending = {ge: left for ge, left in pending.items() if left}
     return best
 
@@ -135,7 +139,7 @@ class CosetTable(Frozen):
         if reps is None:
             best = _minimal_reps(n)
             identity_key = _p1_key(n, 0, 1)
-            reps = [I] + [IntMatrix2(*best[k][1]) for k in sorted(best) if k != identity_key]
+            reps = [I] + [IntMatrix2(*best[k]) for k in sorted(best) if k != identity_key]
         reps = tuple(reps)
         index_of_pair = {}
         for idx, g in enumerate(reps):

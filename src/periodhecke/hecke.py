@@ -88,24 +88,23 @@ def phi(table, a_mat, j):
     sigma = sigma_{reps[j]}(A) and phi the index of the coset of
     A * reps[j] * sigma^-1, in integer arithmetic.
 
-    A * reps[j] = (ga gb; gc gd) gives sigma = (a b; 0 d) with a = gcd(ga, gc)
-    from one extended gcd, d = m / a and b reduced mod d, as in
-    xm_representative.  A * reps[j] * sigma^-1 = A * reps[j] * adj(sigma) / m;
-    every entry must divide exactly, and the bottom row names the coset.
+    A * reps[j] * sigma^-1 = A * reps[j] * adj(sigma) / m; every entry must
+    divide exactly, and the bottom row of the quotient names the coset.
     """
-    if not in_xm(a_mat):
-        raise ValueError("%r is not an X_m representative" % (a_mat,))
-    m = a_mat.a * a_mat.d
-    rep = table.reps[j]
-    ga, gb = a_mat.a * rep.a + a_mat.b * rep.c, a_mat.a * rep.b + a_mat.b * rep.d
-    gc, gd = a_mat.d * rep.c, a_mat.d * rep.d
-    a, x, y = xgcd(ga, gc)
-    d = m // a
-    s = IntMatrix2(a, (x * gb + y * gd) % d, 0, d)
-    top_right, bottom_right = gb * a - ga * s.b, gd * a - gc * s.b
-    if ga * d % m or gc * d % m or top_right % m or bottom_right % m:
+    s = sigma(table.reps[j], a_mat)
+    m = a_mat.det
+    product = a_mat * table.reps[j] * s.adjugate()
+    if any(entry % m for entry in product.key):
         raise ArithmeticError("A * reps[%d] * adj(%r) is not divisible by %d" % (j, s, m))
-    return HeckeCosetRecord(a_mat, j, table.index_of_row(gc * d // m, bottom_right // m), s)
+    return HeckeCosetRecord(a_mat, j, table.index_of_row(product.c // m, product.d // m), s)
+
+
+def _merel_matrices(m):
+    """Merel's S_m, walked as L * sigma for sigma in X_m and L in the chain
+    matrices of sigma.b / sigma.d."""
+    for s in gen_xm(m):
+        for link in chain_matrices(ExtendedRational(s.b, s.d)):
+            yield link * s
 
 
 def h_tilde(m):
@@ -113,12 +112,7 @@ def h_tilde(m):
     sum over d | m, 0 <= b < d of M(b/d) * (m/d b; 0 d)."""
     if m < 1:
         raise ValueError("Hecke index must be positive")
-    return FormalSum.from_matrices(
-        link * IntMatrix2(m // d, b, 0, d)
-        for d in divisors(m)
-        for b in range(d)
-        for link in chain_matrices(ExtendedRational(b, d))
-    )
+    return FormalSum.from_matrices(_merel_matrices(m))
 
 
 def in_sm(g, m=None):
@@ -275,16 +269,14 @@ def vector_hecke(table, m):
     n, rows = table.n, [(rep.c, rep.d) for rep in table.reps]
     index_of_row = table.index_of_row
     columns = {}
-    for s in gen_xm(m):
-        for link in chain_matrices(ExtendedRational(s.b, s.d)):
-            mat = link * s
-            if mat in columns:
-                raise ArithmeticError("%r occurs twice among the chain matrices" % (mat,))
-            a, b, c_b, d_b = mat.key
-            image = columns[mat] = []
-            for c, d in rows:
-                u, v = c * d_b - d * c_b, d * a - c * b
-                image.append(index_of_row(u, v) if math.gcd(u, v, n) == 1 else None)
+    for mat in _merel_matrices(m):
+        if mat in columns:
+            raise ArithmeticError("%r occurs twice among the chain matrices" % (mat,))
+        a, b, c_b, d_b = mat.key
+        image = columns[mat] = []
+        for c, d in rows:
+            u, v = c * d_b - d * c_b, d * a - c * b
+            image.append(index_of_row(u, v) if math.gcd(u, v, n) == 1 else None)
     return HeckeOperatorMatrix(
         n, m, [(mat, image) for mat, image in columns.items() if image.count(None) < len(rows)]
     )

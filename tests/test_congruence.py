@@ -125,6 +125,29 @@ def test_canonical_reps_match_the_per_coset_search_oracle():
         assert coset_table(k).reps == oracle_reps(k), k
 
 
+def test_canonical_reps_keep_a_and_b_within_the_bottom_row_bound():
+    # The lemma of _minimal_reps: some lift has |a|, |b| <= max(|c|, |d|).
+    for k in range(1, 201):
+        for rep in coset_table(k).reps:
+            assert max(abs(rep.a), abs(rep.b)) <= max(abs(rep.c), abs(rep.d)), (k, rep)
+
+
+def test_canonical_reps_lie_in_the_first_shell_that_reaches_their_coset():
+    # With the lemma, a rep's max entry is its shell, so the rep is minimal
+    # only if no primitive pair of its coset lies in an earlier shell.
+    for k in range(1, 61):
+        key_of = orbit_keys(k)
+        first_shell = {}
+        bound = 0
+        while len(first_shell) < len(set(key_of.values())):
+            bound += 1
+            for c, d in shell(bound):
+                if math.gcd(c, d) == 1:
+                    first_shell.setdefault(key_of[(c % k, d % k)], bound)
+        for rep in coset_table(k).reps:
+            assert first_shell[key_of[(rep.c % k, rep.d % k)]] == max(abs(rep.c), abs(rep.d)), (k, rep)
+
+
 def test_p1_key_equals_the_orbit_oracle_on_every_primitive_pair():
     for k in range(1, 121):
         for (c, d), key in orbit_keys(k).items():
