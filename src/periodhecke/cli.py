@@ -223,44 +223,52 @@ def _cmd_check(args):
     return getattr(checks, "cmd_" + args.command.replace("-", "_"))(args)
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser for `periodhecke <command> ...`.  When command names a
+    subcommand, only its subparser is built, under the metavar argparse
+    would show for every name, so usage and error lines stay the same.
+    Otherwise (help, no command, an unknown one) every subparser is built
+    under the default metavar, since the errors for a missing or unknown
+    command name the action by its dest."""
+    n_flag = m_flag = {"type": int, "required": True}
+    subcommands = {
+        "farey": (_cmd_farey, {"n": n_flag}),
+        "lns": (_cmd_lns, {"q": {"required": True}}),
+        "mq": (_cmd_mq, {"q": {"required": True}}),
+        "cosets": (_cmd_cosets, {"n": n_flag}),
+        "rho": (_cmd_rho, {"n": n_flag, "word": {"required": True}}),
+        "sigma": (_cmd_sigma, {"g": {"required": True}, "A": {"required": True}}),
+        "hecke-scalar": (_cmd_hecke_scalar, {"m": m_flag}),
+        "hecke-vector": (_cmd_hecke_vector, {"n": n_flag, "m": m_flag}),
+        "sm": (_cmd_sm, {"m": m_flag}),
+        "check-three-term": (_cmd_check, {"n": n_flag, "m": m_flag, "s": {"default": "1,0"}}),
+        "check-laplace": (_cmd_check, {"s": {"default": "0.9,0"}}),
+        "check-eta-loop": (_cmd_check, {"s": {"default": "0.8,0"}}),
+        "verify-all": (_cmd_check, {"n": n_flag, "m": m_flag, "s": {"default": "1,0"}}),
+    }
     parser = argparse.ArgumentParser(
         prog="periodhecke",
         description="Exact Hecke operator matrices on period functions for "
         "congruence subgroups, with numeric verification checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **flags):
+    known = command in subcommands
+    metavar = "{%s}" % ",".join(subcommands) if known else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if known else subcommands:
+        func, flags = subcommands[name]
         p = sub.add_parser(name, allow_abbrev=False)
         for flag, options in flags.items():
             p.add_argument("--" + flag, **options)
         p.add_argument("--format", choices=["json", "tsv"], default="json")
         p.add_argument("--out", default=None)
         p.set_defaults(func=func)
-        return p
-
-    n_flag = m_flag = {"type": int, "required": True}
-    add("farey", _cmd_farey, n=n_flag)
-    add("lns", _cmd_lns, q={"required": True})
-    add("mq", _cmd_mq, q={"required": True})
-    add("cosets", _cmd_cosets, n=n_flag)
-    add("rho", _cmd_rho, n=n_flag, word={"required": True})
-    add("sigma", _cmd_sigma, g={"required": True}, A={"required": True})
-    add("hecke-scalar", _cmd_hecke_scalar, m=m_flag)
-    add("hecke-vector", _cmd_hecke_vector, n=n_flag, m=m_flag)
-    add("sm", _cmd_sm, m=m_flag)
-    add("check-three-term", _cmd_check, n=n_flag, m=m_flag, s={"default": "1,0"})
-    add("check-laplace", _cmd_check, s={"default": "0.9,0"})
-    add("check-eta-loop", _cmd_check, s={"default": "0.8,0"})
-    add("verify-all", _cmd_check, n=n_flag, m=m_flag, s={"default": "1,0"})
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -87,12 +87,14 @@ def _minimal_reps(n):
     runs from floor(pivot) - 1 to floor(pivot) + 1.  Only pairs of the
     classes (gcd(c, n), gcd(d, n)) = (g, e) with cosets unreached,
     phi(n / (g*e)) at first, are visited, and the sweep stops when none is
-    left."""
-    def with_gcd(g, bound):  # the x with |x| <= bound and gcd(x, n) == g
-        return [x for x in range(-(bound // g) * g, bound + 1, g) if math.gcd(x, n) == g]
+    left.  (c, d) and (-c, -d) share their key and their lifts are
+    negations of each other, so each shell visits the pairs (c, B) and
+    (B, d) and offers both signs; a unit c keys as (1, c^-1 * d mod n)."""
     parts = divisors(n)
     pending = {(g, e): sum(math.gcd(u, n // g // e) == 1 for u in range(n // g // e))
                for g in parts for e in parts if math.gcd(g, e) == 1}
+    inverse = {u: pow(u, -1, n) for u in range(1, n) if math.gcd(u, n) == 1}
+    signed = {g: [0] if g == n else [] for g in parts}  # the x with gcd(x, n) == g, |x| < bound
     best = {}
     bound = 0
     while pending:
@@ -100,13 +102,15 @@ def _minimal_reps(n):
         edge = math.gcd(bound, n)
         rows = {g for g, e in pending if e == edge}
         columns = {e for g, e in pending if g == edge}
-        pairs = [(c, d) for g in rows for c in with_gcd(g, bound - 1) for d in (-bound, bound)]
-        pairs += [(c, d) for e in columns for d in with_gcd(e, bound) for c in (-bound, bound)]
+        pairs = [(c, bound) for g in rows for c in signed[g]]
+        signed[edge] += (-bound, bound)
+        pairs += [(bound, d) for e in columns for d in signed[e]]
         offered = {}
         for c, d in pairs:
             if math.gcd(c, d) != 1:
                 continue
-            key = _p1_key(n, c, d)
+            unit = inverse.get(c % n)
+            key = _p1_key(n, c, d) if unit is None else (1, unit * d % n)
             if key in best:
                 continue
             # a*d - b*c = 1 with (a, b) = (x + t*c, y + t*d).
@@ -114,8 +118,10 @@ def _minimal_reps(n):
             pivot = -x // c if abs(c) == bound else -y // d
             for t in range(pivot - 1, pivot + 2):
                 a, b = x + t * c, y + t * d
-                if abs(a) <= bound and abs(b) <= bound and (key not in offered or (a, b, c, d) < offered[key]):
-                    offered[key] = (a, b, c, d)
+                if abs(a) <= bound and abs(b) <= bound:
+                    least = min((a, b, c, d), (-a, -b, -c, -d))
+                    if key not in offered or least < offered[key]:
+                        offered[key] = least
         for g, r in offered:
             pending[math.gcd(g, n), math.gcd(r, n)] -= 1
         best.update(offered)
@@ -137,20 +143,24 @@ class CosetTable(Frozen):
         if n < 1:
             raise ValueError("level must be positive")
         if reps is None:
+            # The sweep's keys seed the dict; its lifts have determinant 1.
             best = _minimal_reps(n)
             identity_key = _p1_key(n, 0, 1)
-            reps = [I] + [IntMatrix2(*best[k]) for k in sorted(best) if k != identity_key]
-        reps = tuple(reps)
-        index_of_pair = {}
-        for idx, g in enumerate(reps):
-            if g.det != 1:
-                raise ValueError("coset representatives must have determinant 1")
-            key = _p1_key(n, g.c, g.d)
-            if key in index_of_pair:
-                raise ValueError("representatives %d and %d share a coset" % (index_of_pair[key], idx))
-            index_of_pair[key] = idx
-        if len(reps) != gamma0_index(n):
-            raise ValueError("expected %d representatives, got %d" % (gamma0_index(n), len(reps)))
+            keys = [identity_key] + sorted(k for k in best if k != identity_key)
+            reps = (I,) + tuple(IntMatrix2(*best[k]) for k in keys[1:])
+            index_of_pair = {key: idx for idx, key in enumerate(keys)}
+        else:
+            reps = tuple(reps)
+            index_of_pair = {}
+            for idx, g in enumerate(reps):
+                if g.det != 1:
+                    raise ValueError("coset representatives must have determinant 1")
+                key = _p1_key(n, g.c, g.d)
+                if key in index_of_pair:
+                    raise ValueError("representatives %d and %d share a coset" % (index_of_pair[key], idx))
+                index_of_pair[key] = idx
+            if len(reps) != gamma0_index(n):
+                raise ValueError("expected %d representatives, got %d" % (gamma0_index(n), len(reps)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu", len(reps))
         object.__setattr__(self, "reps", reps)

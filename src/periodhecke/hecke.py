@@ -205,20 +205,27 @@ class HeckeOperatorMatrix(Frozen):
         object.__setattr__(self, "columns", tuple(sorted(maps.items(), key=lambda kv: kv[0].key)))
 
     def _dense(self, term):
-        """mu x mu lists whose cell (j, i) holds term(B) for each B with
-        f_B[j] == i, in canonical order; term is called once per B."""
-        cells = [[[] for _ in range(self.mu)] for _ in range(self.mu)]
+        """The mu x mu cells: cell (j, i) holds term(B) for each B with
+        f_B[j] == i, in canonical order; term is called once per B.  A cell
+        is a list once a term lands in it, and until then the one shared
+        empty tuple."""
+        cells = [[()] * self.mu for _ in range(self.mu)]
         for mat, image in self.columns:
             value = term(mat)
             for j, i in enumerate(image):
                 if i is not None:
-                    cells[j][i].append(value)
+                    row = cells[j]
+                    if row[i]:
+                        row[i].append(value)
+                    else:
+                        row[i] = [value]
         return cells
 
     @property
     def entries(self):
         """The dense mu x mu view, rebuilt on every access: entries[j][i]
-        lists, in canonical order, the matrices B with f_B[j] == i."""
+        lists, in canonical order, the matrices B with f_B[j] == i (an
+        empty cell is the empty tuple)."""
         return self._dense(lambda mat: mat)
 
     def row_sum(self, j):

@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from periodhecke import cli
 from periodhecke.cli import build_parser, main
 from periodhecke.congruence import gamma0_index
 from periodhecke.exact_core import divisors
@@ -476,6 +477,49 @@ def test_each_subcommand_accepts_exactly_its_pinned_options():
         for name, sub in subparsers.choices.items()
     }
     assert accepted == {name: sorted(flags + ["--format", "--out"]) for name, flags in INTERFACE.items()}
+
+
+def subparsers_of(parser):
+    (action,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("name", sorted(INTERFACE))
+def test_a_one_subcommand_parser_prints_what_the_full_parser_prints(name):
+    # Both parsers are built here, so they share the Python version and the
+    # terminal width.
+    full, single = build_parser(), build_parser(name)
+    assert list(subparsers_of(single)) == [name]
+    assert subparsers_of(single)[name].format_help() == subparsers_of(full)[name].format_help()
+    assert single.format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cosets"],
+        ["hecke-vector", "--n", "2"],
+        ["sigma", "--g", "1,0,0,1"],
+        ["cosets", "--n", "3", "extra"],
+        ["lns", "--q", "1/2", "extra"],
+        ["farey", "--n", "2", "--format", "xml"],
+        ["verify-all", "--n", "1", "--m", "2", "--format", "yaml"],
+        ["cosets", "--n", "x"],
+        ["check-three-term", "--n", "x", "--m", "2"],
+    ]
+    + [[name, "--help"] for name in sorted(INTERFACE)],
+    ids=" ".join,
+)
+def test_main_answers_as_the_full_parser_does(capsys, monkeypatch, argv):
+    def outcome():
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    own = outcome()
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert outcome() == own
 
 
 @pytest.mark.parametrize(

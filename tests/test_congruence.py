@@ -148,6 +148,14 @@ def test_canonical_reps_lie_in_the_first_shell_that_reaches_their_coset():
             assert first_shell[key_of[(rep.c % k, rep.d % k)]] == max(abs(rep.c), abs(rep.d)), (k, rep)
 
 
+def test_the_sweep_seeds_the_index_that_validating_its_reps_builds():
+    # A fresh canonical table, before any lookup, against the explicit-reps
+    # path, which keys and checks every representative itself.
+    for k in list(range(1, 121)) + [166, 232, 244, 247, 250, 268]:
+        canonical = CosetTable(k)
+        assert canonical._index_of_pair == CosetTable(k, canonical.reps)._index_of_pair, k
+
+
 def test_p1_key_equals_the_orbit_oracle_on_every_primitive_pair():
     for k in range(1, 121):
         for (c, d), key in orbit_keys(k).items():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from periodhecke import exact_core, hecke, verify
-from periodhecke.congruence import coset_table
+from periodhecke.congruence import coset_table, rho
 from periodhecke.exact_core import IntMatrix2
 from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
 from periodhecke.numeric import cusp_solution, hecke_image, three_term_residual
@@ -199,3 +199,19 @@ def test_a_wrong_x_m_of_the_right_size_fails_xm_size(monkeypatch, mutant):
     real = verify.gen_xm
     monkeypatch.setattr(verify, "gen_xm", lambda m: mutant(real(m)))
     assert "xm-size" in failed(run_all_checks(1, 6))
+
+
+def test_run_all_checks_leaves_the_memo_of_an_earlier_residual_level_in_place(fresh_caches):
+    # The checks' random words are built without rho's memo, so two checks
+    # jobs in a row do not evict the permutations a residual level reuses.
+    table = coset_table(7)
+
+    def residual():
+        three_term_residual(cusp_solution(table, 1.0), table, 1.0, 0.5)
+
+    residual()
+    for n in (4, 3):
+        run_all_checks(n, 2)
+    misses = rho.cache_info().misses
+    residual()
+    assert rho.cache_info().misses == misses
