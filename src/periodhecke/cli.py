@@ -30,7 +30,7 @@ from .hecke import gen_sm, gen_xm, h_tilde, sigma, vector_hecke
 # at level 1.  The operator commands handle mu(n) * |S_m| pairs (j, B), so
 # that product has a cap of its own (hecke-vector caps mu(n) * sigma(m),
 # sigma(m) the divisor sum).  The slowest admitted runs found take about
-# 2.0 s (hecke-vector --n 7 --m 1499), 2.3 s (check-three-term --n 3 --m 114)
+# 1.2 s (hecke-vector --n 1 --m 1440), 2.3 s (check-three-term --n 3 --m 114)
 # and 2.2 s (verify-all --n 3 --m 216) as whole runs (CPU time, best of 3,
 # Python 3.11 on a shared 2-core VM).
 FAREY_LEVEL_CAP = 500
@@ -125,6 +125,33 @@ def _flat_rows(mat):
     return [str(x) for x in mat.key]
 
 
+# One term of a formal sum or of an operator cell, as json.dumps writes
+# {"coeff": c, "matrix": mat.rows()} with sorted keys and no spaces.
+_JSON_TERM = '{"coeff":%d,"matrix":[[%d,%d],[%d,%d]]}'
+
+
+def _json_formal_sum(total):
+    """The JSON text of total.to_json_obj()."""
+    return "[%s]" % ",".join(_JSON_TERM % ((coeff,) + mat.key) for coeff, mat in total)
+
+
+def _json_operator(op):
+    """The JSON text of op.to_json_obj(): each B's term is written once,
+    and only the cells that terms land in are joined from their terms;
+    every other cell stays the text []."""
+    cells = {}
+    for mat, image in op.columns:
+        term = _JSON_TERM % ((1,) + mat.key)
+        for j, i in enumerate(image):
+            if i is not None:
+                cells.setdefault((j, i), []).append(term)
+    rows = [["[]"] * op.mu for _ in range(op.mu)]
+    for (j, i), terms in cells.items():
+        rows[j][i] = "[%s]" % ",".join(terms)
+    entries = ",".join("[%s]" % ",".join(row) for row in rows)
+    return '{"entries":[%s],"m":%d,"mu":%d,"n":%d}' % (entries, op.m, op.mu, op.n)
+
+
 def _tsv_formal_sum(total):
     return [[str(coeff)] + _flat_rows(mat) for coeff, mat in total]
 
@@ -147,9 +174,13 @@ def _tsv_operator(op):
 
 def _render(payload_of, rows_of, fmt):
     """Every _cmd_* returns (payload_of, rows_of, code): builders of the
-    JSON payload and of the TSV rows.  Only the requested one is called."""
+    JSON payload, or of its JSON text already written (a str), and of the
+    TSV rows.  Only the requested one is called."""
     if fmt == "json":
-        return json.dumps(payload_of(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+        payload = payload_of()
+        if isinstance(payload, str):
+            return payload
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return "\n".join("\t".join(row) for row in rows_of())
 
 
@@ -174,7 +205,7 @@ def _cmd_lns(args):
 
 def _cmd_mq(args):
     total = m_of_q(_parse_rational(args.q))
-    return total.to_json_obj, lambda: _tsv_formal_sum(total), 0
+    return lambda: _json_formal_sum(total), lambda: _tsv_formal_sum(total), 0
 
 
 def _cmd_cosets(args):
@@ -201,13 +232,13 @@ def _cmd_sigma(args):
 
 def _cmd_hecke_scalar(args):
     total = h_tilde(_capped(args.m, SCALAR_INDEX_CAP, "--m"))
-    return total.to_json_obj, lambda: _tsv_formal_sum(total), 0
+    return lambda: _json_formal_sum(total), lambda: _tsv_formal_sum(total), 0
 
 
 def _cmd_hecke_vector(args):
     n, m = operator_size_capped(args, VECTOR_INDEX_CAP, VECTOR_SIZE_CAP, merel=False)
     op = vector_hecke(coset_table(n), m)
-    return op.to_json_obj, lambda: _tsv_operator(op), 0
+    return lambda: _json_operator(op), lambda: _tsv_operator(op), 0
 
 
 def _cmd_sm(args):

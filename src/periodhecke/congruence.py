@@ -6,7 +6,9 @@ The right cosets are the points (c : d) of P^1(Z/nZ).  A point's key is its
 lexicographically least unit multiple mod n, computed directly (Cremona,
 Algorithms for Modular Elliptic Curves, 2.2): (0, 1) if n | c, else (g, r)
 with g = gcd(c, n) and r the least u*d mod n over the units u with
-u*c = g mod n.  The key works verbatim for determinant -1 matrices as well
+u*c = g mod n.  A canonical table numbers the cosets by their keys; the
+minimal-entry representatives are searched only when reps is read.  The
+key works verbatim for determinant -1 matrices as well
 (Gamma0(n) and diag(1,-1) generate a group with the same coset structure),
 which the numeric layer needs for one transfer-equation word.
 """
@@ -72,6 +74,28 @@ def _p1_key(n, c, d):
             return (g, low + step * j)
 
 
+def _p1_keys(n):
+    """Every key of P^1(Z/nZ), ascending, so the identity's (0, 1) comes
+    first.  The points (g : d) of a proper divisor g are fixed in their
+    first entry by the units u = 1 + k*n/g, which move d = low + j*n/g
+    (low < n/g) to every other j with d prime to g: u is a unit exactly
+    when u avoids 0 mod each prime of g not dividing n/g.  So each low
+    prime to gcd(g, n/g) gives one key (g, r), r the least such d."""
+    if n == 1:
+        return [(0, 0)]
+    keys = [(0, 1)]
+    for g in divisors(n)[:-1]:
+        step = n // g
+        shared = math.gcd(g, step)
+        for r in range(step):
+            if math.gcd(r, shared) == 1:
+                while math.gcd(r, g) != 1:
+                    r += step
+                keys.append((g, r))
+    keys.sort()
+    return keys
+
+
 def _minimal_reps(n):
     """For every coset key, the (a, b, c, d) of the determinant-1 matrix
     with that key minimizing max(|a|,|b|,|c|,|d|), ties broken
@@ -130,25 +154,26 @@ def _minimal_reps(n):
 
 
 class CosetTable(Frozen):
-    """Representatives and membership index for the right cosets of
-    Gamma0(n) in SL(2,Z), built canonically (identity coset first,
-    minimal-entry lifts) unless an explicit complete list is supplied.
+    """The right cosets of Gamma0(n) in SL(2,Z), numbered, with one bottom
+    row (c, d) per coset in points and a representative per coset in reps.
+
+    The canonical table numbers the cosets by their P^1 keys (identity
+    first, then ascending), and its points are the keys themselves; its
+    reps, the minimal-entry lifts of the keys, are searched the first time
+    reps is read.  An explicit complete list of reps fixes the numbering
+    instead, and its points are the bottom rows of the reps.
     index_of_row() looks (c, d) mod n up in a dict seeded with each coset's
     key, itself such a pair, and adds each pair it had to compute a key for.
     """
 
-    __slots__ = ("n", "mu", "reps", "_index_of_pair")
+    __slots__ = ("n", "mu", "points", "_reps", "_index_of_pair")
 
     def __init__(self, n, reps=None):
         if n < 1:
             raise ValueError("level must be positive")
         if reps is None:
-            # The sweep's keys seed the dict; its lifts have determinant 1.
-            best = _minimal_reps(n)
-            identity_key = _p1_key(n, 0, 1)
-            keys = [identity_key] + sorted(k for k in best if k != identity_key)
-            reps = (I,) + tuple(IntMatrix2(*best[k]) for k in keys[1:])
-            index_of_pair = {key: idx for idx, key in enumerate(keys)}
+            points = tuple(_p1_keys(n))
+            index_of_pair = {key: idx for idx, key in enumerate(points)}
         else:
             reps = tuple(reps)
             index_of_pair = {}
@@ -161,10 +186,22 @@ class CosetTable(Frozen):
                 index_of_pair[key] = idx
             if len(reps) != gamma0_index(n):
                 raise ValueError("expected %d representatives, got %d" % (gamma0_index(n), len(reps)))
+            points = tuple((g.c, g.d) for g in reps)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mu", len(reps))
-        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "mu", len(points))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_reps", reps)
         object.__setattr__(self, "_index_of_pair", index_of_pair)
+
+    @property
+    def reps(self):
+        """One determinant-1 matrix per coset, in index order: the explicit
+        list, or for a canonical table the identity and then the minimal
+        lift of each later key, searched once on the first read."""
+        if self._reps is None:
+            best = _minimal_reps(self.n)
+            object.__setattr__(self, "_reps", (I,) + tuple(IntMatrix2(*best[key]) for key in self.points[1:]))
+        return self._reps
 
     def index(self, g):
         """The unique j with g in Gamma0(n) * reps[j]; accepts det = +-1."""
@@ -255,20 +292,22 @@ def rho(table, g):
 
     Satisfies rho(g') @ rho(g) == rho(g' * g).  Determinant -1 arguments are
     accepted through the same coset key (see module docstring).  Row i is
-    the coset of the bottom row (c, d) * g of reps[i] * g.
+    the coset of reps[i] * g, read from (x, y) * g for (x, y) the point of
+    coset i: (x, y) is a unit multiple of the bottom row of reps[i], so
+    (x, y) * g is one of the bottom row of reps[i] * g.
     """
     if g.det not in (1, -1):
         raise ValueError("coset lookup needs determinant +-1, got %d" % g.det)
     a, b, c, d = g.key
     index_of_row = table.index_of_row
-    return PermutationMatrix(index_of_row(r.c * a + r.d * c, r.c * b + r.d * d) for r in table.reps)
+    return PermutationMatrix(index_of_row(x * a + y * c, x * b + y * d) for x, y in table.points)
 
 
 def coset_projection(m, n):
     """The index map chi sending coset i of level m*n to the level-n coset
-    containing it, using the canonical tables of both levels."""
+    containing it, using the canonical tables of both levels: the level-n
+    coset of the point of coset i, read mod n."""
     if m < 1 or n < 1:
         raise ValueError("levels must be positive")
-    fine = coset_table(m * n)
     coarse = coset_table(n)
-    return [coarse.index(rep) for rep in fine.reps]
+    return [coarse.index_of_row(c, d) for c, d in coset_table(m * n).points]

@@ -262,18 +262,21 @@ def vector_hecke(table, m):
     L * sigma it yields is new, since sigma is the X_m normal form of B.  In
     the paper's bookkeeping row j of B is reached by the one A with
     sigma_{reps[j]}(A) = sigma, and lands in the coset of reps[phi] * L^-1,
-    which holds U = A * reps[j] * B^-1.  For the row (c, d) of reps[j] let
+    which holds U = A * reps[j] * B^-1.  For the bottom row (c, d) of
+    reps[j] let
 
         (u, v) = (c, d) * adj(B) = (c*d_B - d*c_B, d*a_B - c*b_B).
 
     U is unimodular with bottom row d_A * (c, d) * B^-1 = (u, v) / a_A, so
     a_A = gcd(u, v): A lies in the defining set exactly when gcd(u, v, n)
     = 1, and then the coset of U is the P^1 point of (u, v), a_A being a
-    unit mod n.
+    unit mod n.  A unit multiple of (c, d) changes neither gcd(u, v, n) nor
+    that point, so the point of coset j (table.points) stands in for the
+    bottom row of reps[j], and no representative is built.
     """
     if m < 1:
         raise ValueError("Hecke index must be positive")
-    n, rows = table.n, [(rep.c, rep.d) for rep in table.reps]
+    n, rows = table.n, table.points
     index_of_row = table.index_of_row
     columns = {}
     for mat in _merel_matrices(m):

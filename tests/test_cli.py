@@ -8,8 +8,10 @@ import pytest
 from periodhecke import cli
 from periodhecke.cli import build_parser, main
 from periodhecke.congruence import gamma0_index
-from periodhecke.exact_core import divisors
-from periodhecke.hecke import HeckeOperatorMatrix, gen_sm, vector_hecke
+from periodhecke.congruence import coset_table
+from periodhecke.exact_core import ExtendedRational, FormalSum, S, T, divisors
+from periodhecke.farey import m_of_q
+from periodhecke.hecke import HeckeOperatorMatrix, gen_sm, h_tilde, vector_hecke
 from periodhecke.numeric import eta_line_integral, laplace_fd
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -56,6 +58,26 @@ def test_subcommand_emits_valid_json(capsys, name, argv):
     code, out = run_cli(capsys, argv)
     assert code == 0
     validate(name, json.loads(out))
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# mu = 1 (n = 1), the identity (m = 1), m | n (None in the column maps and
+# rows with empty cells), composite m and coprime levels.
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 7), (3, 1), (2, 3), (4, 2), (12, 6), (13, 13), (6, 4), (30, 7), (93, 2)])
+def test_the_operator_json_text_is_what_json_dumps_writes(n, m):
+    op = vector_hecke(coset_table(n), m)
+    assert cli._json_operator(op) == dumps(op.to_json_obj())
+
+
+def test_the_formal_sum_json_text_is_what_json_dumps_writes():
+    sums = [h_tilde(m) for m in [1, 2, 6, 13, 62]]
+    sums += [m_of_q(ExtendedRational.from_string(q)) for q in ["0", "1/2", "3/7", "112/113", "233/377"]]
+    sums += [FormalSum(), FormalSum([(-3, S), (10**30, T), (1, S * T)])]
+    for total in sums:
+        assert cli._json_formal_sum(total) == dumps(total.to_json_obj()), total
 
 
 @pytest.mark.parametrize(

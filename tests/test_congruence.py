@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from periodhecke import congruence
 from periodhecke.congruence import (
     CosetTable,
     PermutationMatrix,
+    _minimal_reps,
     _p1_key,
+    _p1_keys,
     coset_projection,
     coset_table,
     gamma0_contains,
@@ -14,6 +17,7 @@ from periodhecke.congruence import (
     rho,
 )
 from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME, xgcd
+from periodhecke.hecke import vector_hecke
 
 GENERATORS = [T, S, T_PRIME]
 
@@ -120,8 +124,11 @@ def oracle_reps(n):
     return (I,) + tuple(minimal_rep(n, key, key_of) for key in keys)
 
 
+BENCHMARK_LEVELS = [93, 110, 166, 201, 232, 244, 247, 250, 268]
+
+
 def test_canonical_reps_match_the_per_coset_search_oracle():
-    for k in range(1, 101):
+    for k in list(range(1, 101)) + BENCHMARK_LEVELS:
         assert coset_table(k).reps == oracle_reps(k), k
 
 
@@ -154,6 +161,50 @@ def test_the_sweep_seeds_the_index_that_validating_its_reps_builds():
     for k in list(range(1, 121)) + [166, 232, 244, 247, 250, 268]:
         canonical = CosetTable(k)
         assert canonical._index_of_pair == CosetTable(k, canonical.reps)._index_of_pair, k
+
+
+def test_the_enumerated_keys_are_the_keys_the_sweep_reaches():
+    for k in list(range(1, 201)) + [232, 244, 247, 250, 268, 360, 400]:
+        keys = _p1_keys(k)
+        assert keys == sorted(set(keys)), k
+        assert set(keys) == set(_minimal_reps(k)), k
+        assert len(keys) == gamma0_index(k), k
+
+
+def test_a_canonical_table_numbers_its_cosets_by_the_enumerated_keys():
+    for k in [1, 2, 12, 166]:
+        table = CosetTable(k)
+        assert table.points == tuple(_p1_keys(k))
+        assert table.points[0] == _p1_key(k, 0, 1)
+        assert [table.index_of_row(*point) for point in table.points] == list(range(table.mu))
+
+
+def test_rho_and_vector_hecke_never_build_the_representatives(monkeypatch):
+    # (level, Hecke index) pairs with m coprime to n, m | n, and n = 1.
+    cases = [(1, 3), (12, 5), (12, 3), (13, 13), (166, 2), (268, 3)]
+    words = [S, T * S * T_PRIME, T_PRIME * T_PRIME * S * T, IntMatrix2(1, 0, 0, -1)]
+    expected = {
+        (n, m): ([rho.__wrapped__(CosetTable(n), g) for g in words], vector_hecke.__wrapped__(CosetTable(n), m))
+        for n, m in cases
+    }
+
+    def no_search(n):
+        raise AssertionError("the representatives of level %d were searched" % n)
+
+    monkeypatch.setattr(congruence, "_minimal_reps", no_search)
+    for n, m in cases:
+        table = CosetTable(n)
+        assert [rho(table, g) for g in words] == expected[n, m][0], n
+        assert vector_hecke.__wrapped__(table, m) == expected[n, m][1], (n, m)
+        with pytest.raises(AssertionError, match="level %d" % n):
+            table.reps
+
+
+def test_canonical_reps_are_searched_once_and_explicit_points_are_their_bottom_rows():
+    table = CosetTable(30)
+    assert table.reps is table.reps
+    explicit = CosetTable(30, table.reps[::-1])
+    assert explicit.points == tuple((g.c, g.d) for g in table.reps[::-1])
 
 
 def test_p1_key_equals_the_orbit_oracle_on_every_primitive_pair():
