@@ -1,8 +1,9 @@
 """Exact Hecke operator matrices on vector-valued period functions for the
 congruence subgroups Gamma0(n), plus the numeric checks that verify them.
 
-The package namespace is the union of the `__all__` lists of the five
-library modules below.  It is resolved lazily (PEP 562): importing the
+The package namespace is the table `_EXPORTS` below, the only list of
+the public names: each of the five library modules sets its `__all__`
+from its own entry.  It is resolved lazily (PEP 562): importing the
 package or one of its submodules loads nothing else, and a public name
 loads its home module on first access and is then cached here.  So a CLI
 run that never touches the numeric layer never compiles it.
@@ -12,7 +13,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each module's `__all__`, in order; tests/test_exports.py holds the two equal.
+# The public names of each library module, in order; the module's `__all__` is its entry.
 _EXPORTS = {
     "exact_core": (
         "ExtendedRational", "IntMatrix2", "FormalSum", "xgcd", "divisors", "MINUS_INFINITY",

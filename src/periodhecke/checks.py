@@ -115,6 +115,10 @@ def cmd_check_eta_loop(args):
     with _float_range(args.s):
         magnitudes = [abs(eta_line_integral(u, v, loop, steps=p)) for p in ETA_PANELS]
         _finite(*magnitudes)
+        # Constant weights (s = 0) close the form exactly; weights that
+        # underflowed to 0 leave the range error of the ratios below.
+        if not any(magnitudes) and u(loop[0]) * v(loop[0]) != 0:
+            raise cli.UsageError("the loop integrals vanish at --s %s, so there is nothing to check" % args.s)
         ratios = [coarse / fine for coarse, fine in zip(magnitudes, magnitudes[1:])]
     payload = {"magnitudes": magnitudes, "panels": ETA_PANELS, "ratios": ratios}
     rows = [

@@ -128,6 +128,8 @@ def _flat_rows(mat):
 # One term of a formal sum or of an operator cell, as json.dumps writes
 # {"coeff": c, "matrix": mat.rows()} with sorted keys and no spaces.
 _JSON_TERM = '{"coeff":%d,"matrix":[[%d,%d],[%d,%d]]}'
+# The same term as one TSV row: the coefficient, then the matrix's entries.
+_TSV_TERM = "%d\t%d\t%d\t%d\t%d"
 
 
 def _json_formal_sum(total):
@@ -153,7 +155,8 @@ def _json_operator(op):
 
 
 def _tsv_formal_sum(total):
-    return [[str(coeff)] + _flat_rows(mat) for coeff, mat in total]
+    """One single-cell row per term, already joined by tabs."""
+    return [[_TSV_TERM % ((coeff,) + mat.key)] for coeff, mat in total]
 
 
 def _tsv_operator(op):

@@ -18,17 +18,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from . import _EXPORTS
 from .exact_core import Frozen, I, IntMatrix2, divisors, xgcd
 
-__all__ = [
-    "gamma0_contains",
-    "gamma0_index",
-    "CosetTable",
-    "coset_table",
-    "PermutationMatrix",
-    "rho",
-    "coset_projection",
-]
+__all__ = list(_EXPORTS["congruence"])
 
 
 def gamma0_contains(n, g):

@@ -11,21 +11,9 @@ from __future__ import annotations
 import math
 from functools import total_ordering
 
-__all__ = [
-    "ExtendedRational",
-    "IntMatrix2",
-    "FormalSum",
-    "xgcd",
-    "divisors",
-    "MINUS_INFINITY",
-    "INFINITY",
-    "ZERO",
-    "ONE",
-    "I",
-    "T",
-    "S",
-    "T_PRIME",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["exact_core"])
 
 
 def xgcd(a, b):

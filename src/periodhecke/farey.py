@@ -11,6 +11,7 @@ n is produced by the next-term recurrence on [0, 1] and reflected through
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .exact_core import (
     ExtendedRational,
     FormalSum,
@@ -21,15 +22,7 @@ from .exact_core import (
     ONE,
 )
 
-__all__ = [
-    "level",
-    "farey_sequence",
-    "left_neighbor",
-    "lns",
-    "chain_matrices",
-    "m_of_q",
-    "is_minimal_partition",
-]
+__all__ = list(_EXPORTS["farey"])
 
 
 def level(r):

@@ -10,22 +10,11 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
+from . import _EXPORTS
 from .exact_core import ExtendedRational, FormalSum, Frozen, IntMatrix2, divisors, xgcd
 from .farey import chain_matrices
 
-__all__ = [
-    "gen_xm",
-    "in_xm",
-    "xm_representative",
-    "sigma",
-    "HeckeCosetRecord",
-    "phi",
-    "h_tilde",
-    "gen_sm",
-    "in_sm",
-    "HeckeOperatorMatrix",
-    "vector_hecke",
-]
+__all__ = list(_EXPORTS["hecke"])
 
 
 def gen_xm(m):
@@ -127,21 +116,19 @@ def gen_sm(m):
     """All matrices (a b; c d) of determinant m with a > c >= 0 and
     d > b >= 0, in canonical order, by bounded enumeration.
 
-    The constraints force a + d <= m + 1, which bounds the search.
+    The constraints force a + d <= m + 1 and bc = ad - m >= 0, which bound
+    a and d; c = 0 needs bc = 0, and c > 0 needs b = bc/c < d, so c > bc/d.
     """
     if m < 1:
         raise ValueError("determinant must be positive")
     mats = []
     for a in range(1, m + 1):
-        for d in range(1, m + 2 - a):
+        for d in range(-(-m // a), m + 2 - a):
             bc = a * d - m
-            if bc < 0:
-                continue
-            for c in range(a):
-                if c == 0:
-                    if bc == 0:
-                        mats.extend(IntMatrix2(a, b, 0, d) for b in range(d))
-                elif bc % c == 0 and bc // c < d:
+            if bc == 0:
+                mats.extend(IntMatrix2(a, b, 0, d) for b in range(d))
+            for c in range(bc // d + 1, a):
+                if bc % c == 0:
                     mats.append(IntMatrix2(a, bc // c, c, d))
     mats.sort(key=lambda g: g.key)
     return mats

@@ -11,21 +11,11 @@ complex number; vector handles return a sequence of component values.
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .congruence import rho
 from .exact_core import IntMatrix2, S, T, T_PRIME
 
-__all__ = [
-    "slash_eval",
-    "constant_lift",
-    "cusp_solution",
-    "three_term_residual",
-    "transfer_residual",
-    "r_zeta",
-    "laplace_fd",
-    "eta_line_integral",
-    "apply_hecke_numeric",
-    "hecke_image",
-]
+__all__ = list(_EXPORTS["numeric"])
 
 # The words whose permutations the residuals apply: T^-1 and T'^-1, and
 # (0 1; 1 0) * T'^-1, the determinant -1 word of the transfer variant.

@@ -344,6 +344,15 @@ def test_check_laplace_at_a_zero_eigenvalue_exits_two(capsys, s):
     assert "eigenvalue s(1-s) is 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", ["0", "0,0", "-0.0", "1e-300"])
+def test_check_eta_loop_where_the_integrals_vanish_exits_two(capsys, s):
+    # All three magnitudes are 0 here, so no ratio exists.
+    assert main(["check-eta-loop", "--s", s]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the loop integrals vanish at --s %s, so there is nothing to check" % s in captured.err
+
+
 def test_vanishing_reference_solution_exits_two(capsys):
     for command in ("check-three-term", "verify-all"):
         assert main([command, "--n", "1", "--m", "2", "--s", "0"]) == 2
