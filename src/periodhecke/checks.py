@@ -3,20 +3,23 @@ check-laplace, check-eta-loop and verify-all.
 
 periodhecke.cli imports this module, and with it the numeric layer and
 verify, only when one of them runs.  Each cmd_* function takes the parsed
-arguments of its subcommand and returns what every subcommand of
-periodhecke.cli returns.  The caps stay in cli with the other caps and
-are read from it when a command runs.
+arguments of its subcommand and returns (json_of, tsv_of, code) as every
+subcommand of periodhecke.cli does: the JSON text of its payload, and its
+TSV lines, one `key<TAB>value` per field or `name<TAB>pass|FAIL<TAB>detail`
+per check.  The caps stay in cli with the other caps and are read from it
+when a command runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 
 from . import cli
 from .congruence import coset_table
 from .hecke import vector_hecke
-from .numeric import cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
+from .numeric import ETA_FD_STEP, cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
 from .verify import RELATIVE_TOLERANCE, residual_and_scale, run_all_checks, sample_points
 
 # The fixed settings of the check commands.
@@ -76,8 +79,8 @@ def cmd_check_three_term(args):
         raise cli.UsageError("the Hecke image vanishes at --s %s, so there is nothing to check" % args.s)
     relative = worst / largest
     payload = {"max_residual": relative, "points": THREE_TERM_POINTS}
-    rows = [["max_residual", repr(relative)], ["points", str(THREE_TERM_POINTS)]]
-    return lambda: payload, lambda: rows, 0 if relative <= RELATIVE_TOLERANCE else 1
+    lines = ["max_residual\t%r" % relative, "points\t%d" % THREE_TERM_POINTS]
+    return lambda: cli.dumps(payload), lambda: lines, 0 if relative <= RELATIVE_TOLERANCE else 1
 
 
 def cmd_check_laplace(args):
@@ -102,9 +105,9 @@ def cmd_check_laplace(args):
         "h2": LAPLACE_H2,
         "order": order,
     }
-    rows = [[k, repr(payload[k])] for k in sorted(payload)]
+    lines = ["%s\t%r" % (k, payload[k]) for k in sorted(payload)]
     code = 0 if abs(order - 2.0) <= LAPLACE_ORDER_WINDOW else 1
-    return lambda: payload, lambda: rows, code
+    return lambda: cli.dumps(payload), lambda: lines, code
 
 
 def cmd_check_eta_loop(args):
@@ -119,15 +122,14 @@ def cmd_check_eta_loop(args):
         # underflowed to 0 leave the range error of the ratios below.
         if not any(magnitudes) and u(loop[0]) * v(loop[0]) != 0:
             raise cli.UsageError("the loop integrals vanish at --s %s, so there is nothing to check" % args.s)
+        # Under the rounding error of one central difference, ratios are noise.
+        if magnitudes[0] < sys.float_info.epsilon / ETA_FD_STEP * max(abs(u(z) * v(z)) for z in loop):
+            raise cli.UsageError("the loop integrals are at the finite-difference noise floor at --s %s" % args.s)
         ratios = [coarse / fine for coarse, fine in zip(magnitudes, magnitudes[1:])]
     payload = {"magnitudes": magnitudes, "panels": ETA_PANELS, "ratios": ratios}
-    rows = [
-        ["panels", " ".join(str(p) for p in ETA_PANELS)],
-        ["magnitudes", " ".join(repr(x) for x in magnitudes)],
-        ["ratios", " ".join(repr(x) for x in ratios)],
-    ]
+    lines = ["%s\t%s" % (key, " ".join(map(repr, payload[key]))) for key in ("panels", "magnitudes", "ratios")]
     code = 0 if all(r > ETA_MIN_RATIO for r in ratios) else 1
-    return lambda: payload, lambda: rows, code
+    return lambda: cli.dumps(payload), lambda: lines, code
 
 
 def cmd_verify_all(args):
@@ -145,6 +147,6 @@ def cmd_verify_all(args):
         "m": args.m,
         "n": args.n,
     }
-    rows = [[name, "pass" if passed else "FAIL", detail] for name, passed, detail in checks]
-    rows.append(["all_pass", "pass" if all_pass else "FAIL", ""])
-    return lambda: payload, lambda: rows, 0 if all_pass else 1
+    lines = ["%s\t%s\t%s" % (name, "pass" if passed else "FAIL", detail) for name, passed, detail in checks]
+    lines.append("all_pass\t%s\t" % ("pass" if all_pass else "FAIL"))
+    return lambda: cli.dumps(payload), lambda: lines, 0 if all_pass else 1

@@ -121,15 +121,19 @@ def _parse_word(text):
     return g
 
 
-def _flat_rows(mat):
-    return [str(x) for x in mat.key]
+def dumps(payload):
+    """The JSON text of payload, with sorted keys and no spaces; a NaN or an
+    infinity raises ValueError, since JSON has no such number."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-# One term of a formal sum or of an operator cell, as json.dumps writes
-# {"coeff": c, "matrix": mat.rows()} with sorted keys and no spaces.
+# One term of a formal sum or of an operator cell, as dumps writes
+# {"coeff": c, "matrix": mat.rows()}.
 _JSON_TERM = '{"coeff":%d,"matrix":[[%d,%d],[%d,%d]]}'
-# The same term as one TSV row: the coefficient, then the matrix's entries.
-_TSV_TERM = "%d\t%d\t%d\t%d\t%d"
+# A matrix as one TSV line, row-major, and a term as its coefficient
+# followed by its matrix.
+_TSV_MATRIX = "%d\t%d\t%d\t%d"
+_TSV_TERM = "%d\t" + _TSV_MATRIX
 
 
 def _json_formal_sum(total):
@@ -155,36 +159,31 @@ def _json_operator(op):
 
 
 def _tsv_formal_sum(total):
-    """One single-cell row per term, already joined by tabs."""
-    return [[_TSV_TERM % ((coeff,) + mat.key)] for coeff, mat in total]
+    """One line per term."""
+    return [_TSV_TERM % ((coeff,) + mat.key) for coeff, mat in total]
 
 
 def _tsv_operator(op):
-    """One row (j, i, 1, B) per term, in the order of the dense view: by
-    row j, then column i, then the key of B.  The cells after i are joined
+    """One line j, i, 1, B per term, in the order of the dense view: by
+    row j, then column i, then the key of B.  The part after i is written
     once per B."""
     by_row = [[] for _ in range(op.mu)]
     for mat, image in op.columns:
-        tail = "\t".join(["1"] + _flat_rows(mat))
+        tail = _TSV_TERM % ((1,) + mat.key)
         for j, i in enumerate(image):
             if i is not None:
                 by_row[j].append((i, tail))
     for j, terms in enumerate(by_row):
         terms.sort(key=lambda term: term[0])
         for i, tail in terms:
-            yield [str(j), str(i), tail]
+            yield "%d\t%d\t%s" % (j, i, tail)
 
 
-def _render(payload_of, rows_of, fmt):
-    """Every _cmd_* returns (payload_of, rows_of, code): builders of the
-    JSON payload, or of its JSON text already written (a str), and of the
-    TSV rows.  Only the requested one is called."""
-    if fmt == "json":
-        payload = payload_of()
-        if isinstance(payload, str):
-            return payload
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return "\n".join("\t".join(row) for row in rows_of())
+def _render(json_of, tsv_of, fmt):
+    """Every _cmd_* returns (json_of, tsv_of, code): json_of() returns the
+    JSON text and tsv_of() the TSV lines, each a str.  Only the requested
+    one is called."""
+    return json_of() if fmt == "json" else "\n".join(tsv_of())
 
 
 def _emit(text, out):
@@ -196,14 +195,13 @@ def _emit(text, out):
 
 
 def _cmd_farey(args):
-    seq = farey_sequence(_capped(args.n, FAREY_LEVEL_CAP))
-    payload = [str(r) for r in seq]
-    return lambda: payload, lambda: [[s] for s in payload], 0
+    rationals = [str(r) for r in farey_sequence(_capped(args.n, FAREY_LEVEL_CAP))]
+    return lambda: dumps(rationals), lambda: rationals, 0
 
 
 def _cmd_lns(args):
-    payload = [str(r) for r in lns(_parse_rational(args.q))]
-    return lambda: payload, lambda: [[s] for s in payload], 0
+    rationals = [str(r) for r in lns(_parse_rational(args.q))]
+    return lambda: dumps(rationals), lambda: rationals, 0
 
 
 def _cmd_mq(args):
@@ -214,23 +212,21 @@ def _cmd_mq(args):
 def _cmd_cosets(args):
     table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
     return (
-        lambda: {"mu": table.mu, "reps": [g.rows() for g in table.reps]},
-        lambda: [_flat_rows(g) for g in table.reps],
+        lambda: dumps({"mu": table.mu, "reps": [g.rows() for g in table.reps]}),
+        lambda: [_TSV_MATRIX % g.key for g in table.reps],
         0,
     )
 
 
 def _cmd_rho(args):
     table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
-    perm = rho(table, _parse_word(args.word))
-    return lambda: list(perm.image), lambda: [[str(j) for j in perm.image]], 0
+    image = rho(table, _parse_word(args.word)).image
+    return lambda: dumps(image), lambda: ["\t".join(map(str, image))], 0
 
 
 def _cmd_sigma(args):
-    g = _parse_matrix(args.g)
-    a_mat = _parse_matrix(args.A)
-    result = sigma(g, a_mat)
-    return lambda: {"sigma": result.rows()}, lambda: [_flat_rows(result)], 0
+    result = sigma(_parse_matrix(args.g), _parse_matrix(args.A))
+    return lambda: dumps({"sigma": result.rows()}), lambda: [_TSV_MATRIX % result.key], 0
 
 
 def _cmd_hecke_scalar(args):
@@ -246,7 +242,7 @@ def _cmd_hecke_vector(args):
 
 def _cmd_sm(args):
     mats = gen_sm(_capped(args.m, SM_INDEX_CAP, "--m"))
-    return lambda: [g.rows() for g in mats], lambda: [_flat_rows(g) for g in mats], 0
+    return lambda: dumps([g.rows() for g in mats]), lambda: [_TSV_MATRIX % g.key for g in mats], 0
 
 
 def _cmd_check(args):
@@ -306,8 +302,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        payload_of, rows_of, code = args.func(args)
-        _emit(_render(payload_of, rows_of, args.format), args.out)
+        json_of, tsv_of, code = args.func(args)
+        _emit(_render(json_of, tsv_of, args.format), args.out)
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

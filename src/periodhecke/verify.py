@@ -94,9 +94,8 @@ def _record_matches(table, maps, a_mat, j):
     link L of its sigma, the column map f_{L sigma} in maps sends row j to
     the coset of reps[phi] * L^-1 when gcd(a, n) = 1 and to None otherwise."""
     m, n, rec = a_mat.det, table.n, phi(table, a_mat, j)
+    # phi has raised unless every entry of the numerator divides by m.
     numerator = a_mat * table.reps[j] * rec.sigma.adjugate()
-    if any(entry % m for entry in numerator.key):
-        return False
     target = table.reps[rec.phi]
     unimodular = IntMatrix2(*(entry // m for entry in numerator.key))
     return gamma0_contains(n, unimodular * target.inverse()) and all(

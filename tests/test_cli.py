@@ -270,7 +270,7 @@ def test_checks_without_evidence_exit_two(capsys, argv, message):
 def test_non_finite_payload_is_not_printed_as_json(capsys, monkeypatch):
     from periodhecke import cli
 
-    monkeypatch.setattr(cli, "_cmd_farey", lambda args: (lambda: {"x": float("nan")}, lambda: [["nan"]], 0))
+    monkeypatch.setattr(cli, "_cmd_farey", lambda args: (lambda: cli.dumps({"x": float("nan")}), lambda: ["nan"], 0))
     assert main(["farey", "--n", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -351,6 +351,55 @@ def test_check_eta_loop_where_the_integrals_vanish_exits_two(capsys, s):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "the loop integrals vanish at --s %s, so there is nothing to check" % s in captured.err
+
+
+@pytest.mark.parametrize(
+    "s,code",
+    [(s, 2) for s in ["1e-12", "1e-9", "1e-6", "1e-5", "0,1e-6"]] + [(s, 0) for s in ["2e-5", "1e-4", None]],
+    ids=str,
+)
+def test_check_eta_loop_at_the_finite_difference_noise_floor_exits_two(capsys, s, code):
+    # Below the rounding error of one central difference the magnitudes are
+    # noise, so their ratios would pass or fail by chance (0,1e-6 passed).
+    assert main(["check-eta-loop"] + ([] if s is None else ["--s", s])) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert "the loop integrals are at the finite-difference noise floor at --s %s" % s in captured.err
+    else:
+        assert captured.err == ""
+
+
+# Two settings of each check command; no golden file holds their TSV.
+CHECK_SETTINGS = [
+    ["check-three-term", "--n", "2", "--m", "3"],
+    ["check-three-term", "--n", "4", "--m", "3", "--s", "2.5"],
+    ["check-laplace"],
+    ["check-laplace", "--s", "0.5,2"],
+    ["check-eta-loop"],
+    ["check-eta-loop", "--s", "0.5,2"],
+    ["verify-all", "--n", "1", "--m", "2"],
+    ["verify-all", "--n", "6", "--m", "2", "--s", "0.5,3"],
+]
+
+
+def check_tsv_from_json(command, payload):
+    """The TSV lines of a check command, rebuilt from its JSON payload."""
+    if command == "verify-all":
+        verdict = lambda passed: "pass" if passed else "FAIL"
+        lines = ["%s\t%s\t%s" % (c["name"], verdict(c["pass"]), c["detail"]) for c in payload["checks"]]
+        return lines + ["all_pass\t%s\t" % verdict(payload["all_pass"])]
+    if command == "check-eta-loop":
+        return ["%s\t%s" % (key, " ".join(repr(x) for x in payload[key])) for key in ("panels", "magnitudes", "ratios")]
+    return ["%s\t%r" % (key, payload[key]) for key in sorted(payload)]
+
+
+@pytest.mark.parametrize("argv", CHECK_SETTINGS, ids=" ".join)
+def test_a_check_command_prints_its_json_payload_as_tsv_lines(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    tsv_code, tsv = run_cli(capsys, argv + ["--format", "tsv"])
+    assert code == tsv_code == 0
+    assert tsv.split("\n") == check_tsv_from_json(argv[0], json.loads(out)) + [""]
 
 
 def test_vanishing_reference_solution_exits_two(capsys):

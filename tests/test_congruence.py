@@ -320,6 +320,16 @@ def test_index_example_level_two():
     assert (rep.c % 2, rep.d % 2) == (1, 0)
 
 
+def test_table_rejects_a_level_below_one():
+    with pytest.raises(ValueError, match="level must be positive"):
+        CosetTable(0)
+
+
+def test_index_rejects_a_matrix_of_determinant_other_than_plus_minus_one():
+    with pytest.raises(ValueError, match=r"determinant \+-1, got 2"):
+        coset_table(3).index(IntMatrix2(2, 0, 0, 1))
+
+
 def test_table_rejects_bad_reps():
     with pytest.raises(ValueError):
         CosetTable(2, [I, T])  # same coset twice

@@ -312,6 +312,27 @@ def test_hecke_operator_matrix_rejects_bad_column_maps():
     with pytest.raises(ArithmeticError):
         # The dense form with one matrix twice in row 0.
         HeckeOperatorMatrix(1, 2, [[[IntMatrix2(1, 0, 0, 2), IntMatrix2(1, 0, 0, 2)]]])
+    with pytest.raises(ValueError, match="entry conditions"):
+        HeckeOperatorMatrix(1, 2, [(IntMatrix2(1, 0, 1, 2), (0,))])  # a > c fails
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExtendedRational(2, 3),
+        lambda: IntMatrix2(1, 2, 3, 4),
+        lambda: FormalSum.from_matrices([S, T]),
+        lambda: coset_table(6),
+        lambda: PermutationMatrix([1, 0]),
+        lambda: vector_hecke(coset_table(2), 3),
+    ],
+    ids=["ExtendedRational", "IntMatrix2", "FormalSum", "CosetTable", "PermutationMatrix", "HeckeOperatorMatrix"],
+)
+def test_a_value_can_be_shared_since_no_attribute_can_be_assigned(make):
+    value = make()
+    for name in list(type(value).__slots__) + ["extra"]:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)
 
 
 def test_vector_hecke_rejects_a_chain_that_repeats_a_matrix(monkeypatch, fresh_caches):

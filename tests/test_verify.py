@@ -3,8 +3,8 @@ import math
 import pytest
 
 from periodhecke import exact_core, hecke, verify
-from periodhecke.congruence import coset_table, rho
-from periodhecke.exact_core import IntMatrix2
+from periodhecke.congruence import PermutationMatrix, coset_table, rho
+from periodhecke.exact_core import ExtendedRational, FormalSum, IntMatrix2
 from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
 from periodhecke.numeric import cusp_solution, hecke_image, three_term_residual
 from periodhecke.verify import residual_and_scale, run_all_checks, sample_points
@@ -215,3 +215,64 @@ def test_run_all_checks_leaves_the_memo_of_an_earlier_residual_level_in_place(fr
     misses = rho.cache_info().misses
     residual()
     assert rho.cache_info().misses == misses
+
+
+def last_term_dropped(h_tilde):
+    return lambda m: FormalSum(list(h_tilde(m))[:-1])
+
+
+def wrong_neighbor_of_two_thirds(left_neighbor):
+    return lambda q: ExtendedRational(0, 1) if q == ExtendedRational(2, 3) else left_neighbor(q)
+
+
+def of_inverse(rho_once):
+    """An anti-homomorphism: g is sent where g^-1 goes.  The inverse of a
+    subgroup element is one too, so the identity coset stays fixed."""
+    return lambda table, g: rho_once(table, g.inverse())
+
+
+def conjugated_by_a_shift(rho_once):
+    """rho relabelled by the cyclic shift j -> j + 1 of the cosets: still a
+    homomorphism, but the identity coset is no longer the one fixed."""
+
+    def shifted(table, g):
+        image, mu = rho_once(table, g).image, table.mu
+        return PermutationMatrix((image[(j + 1) % mu] - 1) % mu for j in range(mu))
+
+    return shifted
+
+
+def applied_twice_to_a_equal_one(sigma):
+    return lambda g, a_mat: sigma(g, sigma(g, a_mat)) if a_mat.a == 1 else sigma(g, a_mat)
+
+
+def component_zero_raised(cusp_solution):
+    """psi plus 1 on component 0, which no longer solves the three-term
+    equation at level 6."""
+
+    def lifted(table, s):
+        psi = cusp_solution(table, s)
+        return lambda z: [x + (k == 0) for k, x in enumerate(psi(z))]
+
+    return lifted
+
+
+# One mutant per check that no other test makes fail, with the checks it
+# fails at the (n, m) where it was found to fail nothing else.
+CHECK_MUTANTS = [
+    ("h_tilde", last_term_dropped, 3, 5, {"scalar-sum-equals-enumeration"}),
+    ("left_neighbor", wrong_neighbor_of_two_thirds, 3, 5, {"farey-left-neighbor"}),
+    ("_rho_once", of_inverse, 6, 2, {"rho-homomorphism"}),
+    ("_rho_once", conjugated_by_a_shift, 6, 2, {"rho-fixes-identity-coset"}),
+    ("sigma", applied_twice_to_a_equal_one, 3, 5, {"sigma-bijection-and-inverse"}),
+    ("cusp_solution", component_zero_raised, 6, 5, {"three-term-input", "three-term-preserved"}),
+]
+
+
+@pytest.mark.parametrize(
+    "target,mutant,n,m,expected", CHECK_MUTANTS, ids=[mutant.__name__ for _, mutant, *_ in CHECK_MUTANTS]
+)
+def test_each_check_fails_on_its_own_mutant(monkeypatch, target, mutant, n, m, expected):
+    assert failed(run_all_checks(n, m)) == set()
+    monkeypatch.setattr(verify, target, mutant(getattr(verify, target)))
+    assert failed(run_all_checks(n, m)) == expected
