@@ -5,9 +5,12 @@ via --format tsv) that is byte-identical across runs for identical
 arguments.  Exit codes: 0 success / all checks passed, 1 a numeric check
 failed its tolerance, 2 usage or precondition error.
 
-This module loads only the exact layers (exact_core, farey, congruence,
-hecke).  The check subcommands live in periodhecke.checks, which loads the
-numeric layer and verify, and are imported only when a check runs.
+Importing this module loads no layer of the package.  Each subcommand
+imports the layer functions it calls when it runs, after its caps are
+checked, so a run compiles only the layers it executes, and --help, a usage
+error or a value over a cap compiles none.  The check subcommands live in
+periodhecke.checks, which loads the numeric layer and verify, and are
+imported only when a check runs.
 """
 
 from __future__ import annotations
@@ -16,11 +19,6 @@ import argparse
 import json
 import re
 import sys
-
-from .congruence import coset_table, gamma0_index, rho
-from .exact_core import ExtendedRational, I, IntMatrix2, S, T, T_PRIME, divisors
-from .farey import farey_sequence, level, lns, m_of_q
-from .hecke import gen_sm, gen_xm, h_tilde, sigma, vector_hecke
 
 # Largest accepted levels and Hecke indices, so that no command runs for
 # minutes.  `farey --n` lists about 1.2 n^2 rationals (3 MB of JSON at 500).
@@ -51,22 +49,13 @@ class UsageError(ValueError):
 
 
 def _parse_rational(text):
-    try:
-        q = ExtendedRational.from_string(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    """--q as an extended rational whose level is within its cap."""
+    from .exact_core import ExtendedRational
+    from .farey import level
+
+    q = ExtendedRational.from_string(text)
     _capped(level(q), CHAIN_LEVEL_CAP, "the level max(|a|, b) of --q")
     return q
-
-
-def _parse_matrix(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError("matrix must be given as a,b,c,d")
-    try:
-        return IntMatrix2(*(int(p) for p in parts))
-    except ValueError:
-        raise UsageError("matrix entries must be integers") from None
 
 
 def _capped(value, cap, flag="--n"):
@@ -82,6 +71,11 @@ def operator_size_capped(args, index_cap, size_cap, merel=True):
     n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, index_cap, "--m")
     if m < 1:
         raise UsageError("Hecke index must be positive, got %d" % m)
+    from .congruence import gamma0_index
+    from .exact_core import ExtendedRational, divisors
+    from .farey import lns
+    from .hecke import gen_xm
+
     if merel:
         label, count = "|S_m|", sum(len(lns(ExtendedRational(a.b, a.d))) - 1 for a in gen_xm(m))
     else:
@@ -108,6 +102,8 @@ def _attach_dash_values(argv):
 
 def _parse_word(text):
     """A product of the generators written as a string of T, S and T'."""
+    from .exact_core import I, S, T, T_PRIME
+
     g = I
     i = 0
     while i < len(text):
@@ -195,22 +191,34 @@ def _emit(text, out):
 
 
 def _cmd_farey(args):
-    rationals = [str(r) for r in farey_sequence(_capped(args.n, FAREY_LEVEL_CAP))]
+    n = _capped(args.n, FAREY_LEVEL_CAP)
+    from .farey import farey_sequence
+
+    rationals = [str(r) for r in farey_sequence(n)]
     return lambda: dumps(rationals), lambda: rationals, 0
 
 
 def _cmd_lns(args):
-    rationals = [str(r) for r in lns(_parse_rational(args.q))]
+    q = _parse_rational(args.q)
+    from .farey import lns
+
+    rationals = [str(r) for r in lns(q)]
     return lambda: dumps(rationals), lambda: rationals, 0
 
 
 def _cmd_mq(args):
-    total = m_of_q(_parse_rational(args.q))
+    q = _parse_rational(args.q)
+    from .farey import m_of_q
+
+    total = m_of_q(q)
     return lambda: _json_formal_sum(total), lambda: _tsv_formal_sum(total), 0
 
 
 def _cmd_cosets(args):
-    table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
+    n = _capped(args.n, COSET_LEVEL_CAP)
+    from .congruence import coset_table
+
+    table = coset_table(n)
     return (
         lambda: dumps({"mu": table.mu, "reps": [g.rows() for g in table.reps]}),
         lambda: [_TSV_MATRIX % g.key for g in table.reps],
@@ -219,29 +227,45 @@ def _cmd_cosets(args):
 
 
 def _cmd_rho(args):
-    table = coset_table(_capped(args.n, COSET_LEVEL_CAP))
-    image = rho(table, _parse_word(args.word)).image
+    n, g = _capped(args.n, COSET_LEVEL_CAP), _parse_word(args.word)
+    from .congruence import coset_table, rho
+
+    image = rho(coset_table(n), g).image
     return lambda: dumps(image), lambda: ["\t".join(map(str, image))], 0
 
 
 def _cmd_sigma(args):
-    result = sigma(_parse_matrix(args.g), _parse_matrix(args.A))
+    from .exact_core import IntMatrix2
+
+    g, a = IntMatrix2.from_string(args.g), IntMatrix2.from_string(args.A)
+    from .hecke import sigma
+
+    result = sigma(g, a)
     return lambda: dumps({"sigma": result.rows()}), lambda: [_TSV_MATRIX % result.key], 0
 
 
 def _cmd_hecke_scalar(args):
-    total = h_tilde(_capped(args.m, SCALAR_INDEX_CAP, "--m"))
+    m = _capped(args.m, SCALAR_INDEX_CAP, "--m")
+    from .hecke import h_tilde
+
+    total = h_tilde(m)
     return lambda: _json_formal_sum(total), lambda: _tsv_formal_sum(total), 0
 
 
 def _cmd_hecke_vector(args):
     n, m = operator_size_capped(args, VECTOR_INDEX_CAP, VECTOR_SIZE_CAP, merel=False)
+    from .congruence import coset_table
+    from .hecke import vector_hecke
+
     op = vector_hecke(coset_table(n), m)
     return lambda: _json_operator(op), lambda: _tsv_operator(op), 0
 
 
 def _cmd_sm(args):
-    mats = gen_sm(_capped(args.m, SM_INDEX_CAP, "--m"))
+    m = _capped(args.m, SM_INDEX_CAP, "--m")
+    from .hecke import gen_sm
+
+    mats = gen_sm(m)
     return lambda: dumps([g.rows() for g in mats]), lambda: [_TSV_MATRIX % g.key for g in mats], 0
 
 

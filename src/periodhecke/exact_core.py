@@ -54,6 +54,19 @@ class Frozen:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
 
+def _integers(parts, message):
+    """Each part, with its surrounding whitespace stripped, as an int;
+    ValueError(message) unless every one is a plain integer: ASCII digits
+    after an optional sign.  int() alone would also read other Unicode
+    digits and underscores."""
+    parts = [part.strip() for part in parts]
+    for part in parts:
+        digits = part[1:] if part[:1] in ("+", "-") else part
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(message)
+    return [int(part) for part in parts]
+
+
 @total_ordering
 class ExtendedRational(Frozen):
     """A rational num/den in lowest terms with den >= 0, including the two
@@ -84,11 +97,9 @@ class ExtendedRational(Frozen):
     def from_string(cls, text):
         """Parse 'p/q' or a bare integer 'p'."""
         parts = text.strip().split("/")
-        if len(parts) == 1:
-            return cls(int(parts[0]), 1)
-        if len(parts) == 2:
-            return cls(int(parts[0]), int(parts[1]))
-        raise ValueError("malformed rational %r" % (text,))
+        if len(parts) > 2:
+            raise ValueError("malformed rational %r" % (text,))
+        return cls(*_integers(parts, "malformed rational %r" % (text,)))
 
     def __eq__(self, other):
         if not isinstance(other, ExtendedRational):
@@ -141,6 +152,14 @@ class IntMatrix2(Frozen):
 
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]
+
+    @classmethod
+    def from_string(cls, text):
+        """Parse 'a,b,c,d', the entries row by row."""
+        parts = text.split(",")
+        if len(parts) != 4:
+            raise ValueError("matrix must be given as a,b,c,d")
+        return cls(*_integers(parts, "matrix entries must be integers"))
 
     @classmethod
     def from_rows(cls, rows):

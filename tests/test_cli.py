@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -153,6 +154,47 @@ def test_usage_errors_exit_two(capsys):
             assert "Hecke index must be positive" in captured.err
 
 
+# Arguments that int() reads but that are not plain integers, and what
+# each run writes to stderr.
+NOT_PLAIN_INTEGERS = [
+    (["lns", "--q=\u0663/7"], "malformed rational '\u0663/7'"),
+    (["lns", "--q=1_000/3"], "malformed rational '1_000/3'"),
+    (["mq", "--q", "abc"], "malformed rational 'abc'"),
+    (["mq", "--q", "3/"], "malformed rational '3/'"),
+    (["lns", "--q", "/7"], "malformed rational '/7'"),
+    (["lns", "--q", "3.0/7"], "malformed rational '3.0/7'"),
+    (["lns", "--q", "0x10/3"], "malformed rational '0x10/3'"),
+    (["lns", "--q", "++3/7"], "malformed rational '++3/7'"),
+    (["mq", "--q", "\uff13/7"], "malformed rational '\uff13/7'"),
+    (["sigma", "--g", "1,0,0,1", "--A", "\u0664,0,0,2"], "matrix entries must be integers"),
+    (["sigma", "--g", "1_0,0,0,1", "--A", "1,0,0,2"], "matrix entries must be integers"),
+    (["sigma", "--g", "1,0,0,1", "--A", "1,0,0,2.0"], "matrix entries must be integers"),
+    (["sigma", "--g", "1,0,,1", "--A", "1,0,0,2"], "matrix entries must be integers"),
+]
+
+
+@pytest.mark.parametrize("argv,message", NOT_PLAIN_INTEGERS, ids=[" ".join(argv) for argv, _ in NOT_PLAIN_INTEGERS])
+def test_only_plain_integers_parse(capsys, argv, message):
+    # int() alone would also read other Unicode digits and underscores.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+PLAIN_INTEGERS = [
+    (["lns", "--q", " 3 / 7 "], '["-1/0","0/1","1/3","2/5","3/7"]'),
+    (["lns", "--q=+06/014"], '["-1/0","0/1","1/3","2/5","3/7"]'),
+    (["lns", "--q=3/-7"], '["-1/0","-1/1","-1/2","-3/7"]'),
+    (["sigma", "--g", " 1, 1,0 ,+1", "--A", "4,0,0,2"], '{"sigma":[[4,0],[0,2]]}'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PLAIN_INTEGERS, ids=[" ".join(argv) for argv, _ in PLAIN_INTEGERS])
+def test_a_plain_integer_may_carry_a_sign_leading_zeros_and_whitespace(capsys, argv, expected):
+    assert run_cli(capsys, argv) == (0, expected + "\n")
+
+
 def rotated_vector_hecke(table, m):
     op = vector_hecke(table, m)
     return HeckeOperatorMatrix(op.n, op.m, [(mat, image[1:] + image[:1]) for mat, image in op.columns])
@@ -207,30 +249,63 @@ def modules_loaded_by(script):
     return set(json.loads(result.stdout))
 
 
-EXACT_LAYERS = {"periodhecke." + name for name in ("exact_core", "farey", "congruence", "hecke")}
 CHECK_MODULES = {"periodhecke.numeric", "periodhecke.verify", "periodhecke.checks"}
 
 
-def run_main(argv):
-    return "from periodhecke.cli import main\nimport os\nassert main(%r + ['--out', os.devnull]) == 0" % argv
+def run_main(argv, code=0):
+    """A script that runs main(argv) and asserts its exit code, with stdout
+    and stderr discarded."""
+    return (
+        "import contextlib, os\nfrom periodhecke.cli import main\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "    assert main(%r) == %d" % (argv, code)
+    )
 
 
-@pytest.mark.parametrize(
-    "script",
-    [
-        "import periodhecke.cli",
-        "from periodhecke import cli",
-        run_main(["hecke-scalar", "--m", "6"]),
-        run_main(["cosets", "--n", "12"]),
-        run_main(["rho", "--n", "12", "--word", "TST'"]),
-        run_main(["lns", "--q", "5/13"]),
-        run_main(["hecke-vector", "--n", "6", "--m", "5"]),
-    ],
-    ids=["import", "from-import", "hecke-scalar", "cosets", "rho", "lns", "hecke-vector"],
-)
-def test_a_cold_cli_run_loads_only_the_exact_layers(script):
-    # The exact layers load with cli, before any traced run wraps them.
-    assert modules_loaded_by(script) == {"periodhecke", "periodhecke.cli"} | EXACT_LAYERS
+def layers(*names):
+    return {"periodhecke", "periodhecke.cli"} | {"periodhecke." + name for name in names}
+
+
+EXACT_LAYERS = layers("exact_core", "farey", "congruence", "hecke")
+CHECKS_LOAD = EXACT_LAYERS | CHECK_MODULES
+
+# What a fresh interpreter compiles for each subcommand: the layers that
+# its work runs, and none for an import, --help or a usage error.
+LOADED = [
+    ("import", "import periodhecke.cli", layers()),
+    ("from-import", "from periodhecke import cli", layers()),
+    ("help", run_main(["--help"]), layers()),
+    ("over-cap", run_main(["cosets", "--n", "401"], 2), layers()),
+    ("farey", run_main(["farey", "--n", "5"]), layers("exact_core", "farey")),
+    ("lns", run_main(["lns", "--q", "5/13"]), layers("exact_core", "farey")),
+    ("mq", run_main(["mq", "--q", "5/13"]), layers("exact_core", "farey")),
+    ("cosets", run_main(["cosets", "--n", "12"]), layers("exact_core", "congruence")),
+    ("rho", run_main(["rho", "--n", "12", "--word", "TST'"]), layers("exact_core", "congruence")),
+    ("sigma", run_main(["sigma", "--g", "0,-1,1,0", "--A", "1,0,0,2"]), layers("exact_core", "farey", "hecke")),
+    ("sm", run_main(["sm", "--m", "12"]), layers("exact_core", "farey", "hecke")),
+    ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core", "farey", "hecke")),
+    ("hecke-vector", run_main(["hecke-vector", "--n", "6", "--m", "5"]), EXACT_LAYERS),
+    ("check-three-term", run_main(["check-three-term", "--n", "2", "--m", "3"]), CHECKS_LOAD),
+    ("check-laplace", run_main(["check-laplace"]), CHECKS_LOAD),
+    ("check-eta-loop", run_main(["check-eta-loop"]), CHECKS_LOAD),
+    ("verify-all", run_main(["verify-all", "--n", "1", "--m", "2"]), CHECKS_LOAD),
+]
+
+
+EXACT_RUNS = [row for row in LOADED if row[2] <= EXACT_LAYERS]
+CHECK_RUNS = [row for row in LOADED if row[2] == CHECKS_LOAD]
+
+
+@pytest.mark.parametrize("script,expected", [row[1:] for row in EXACT_RUNS], ids=[row[0] for row in EXACT_RUNS])
+def test_a_cold_cli_run_loads_only_the_exact_layers(script, expected):
+    # Only those that its work runs: a subcommand imports its layers when
+    # it runs, after its caps are checked.
+    assert modules_loaded_by(script) == expected
+
+
+@pytest.mark.parametrize("script,expected", [row[1:] for row in CHECK_RUNS], ids=[row[0] for row in CHECK_RUNS])
+def test_a_cold_check_run_loads_the_check_modules_and_every_exact_layer(script, expected):
+    assert modules_loaded_by(script) == expected
 
 
 def test_a_check_subcommand_loads_the_numeric_layers():
@@ -410,11 +485,16 @@ def test_vanishing_reference_solution_exits_two(capsys):
         assert "reference solution vanishes" in captured.err
 
 
-def work_module(command):
-    """The module whose globals the subcommand's body reads its work from."""
-    from periodhecke import checks, cli
+def work_module(command, target):
+    """The module the subcommand reads target from when it runs: the check
+    commands bind their work when periodhecke.checks loads, every other
+    subcommand imports it from its home module."""
+    import periodhecke
+    from periodhecke import checks
 
-    return checks if command in ("check-three-term", "verify-all") else cli
+    if command in ("check-three-term", "verify-all"):
+        return checks
+    return sys.modules[getattr(periodhecke, target).__module__]
 
 
 @pytest.mark.parametrize(
@@ -438,7 +518,7 @@ def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, comm
     def forbidden(*args, **kwargs):
         raise AssertionError("%s was started" % target)
 
-    monkeypatch.setattr(work_module(command), target, forbidden)
+    monkeypatch.setattr(work_module(command, target), target, forbidden)
     limit = getattr(cli, cap)
     # A level cap is exceeded at --m 2, an index cap at level 1.
     flag, other = ("--m", ["--n", "1"]) if "INDEX" in cap else ("--n", ["--m", "2"])
@@ -467,7 +547,7 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
     def forbidden(*args, **kwargs):
         raise AssertionError("%s was started" % target)
 
-    monkeypatch.setattr(work_module(command), target, forbidden)
+    monkeypatch.setattr(work_module(command, target), target, forbidden)
     argv = [command, "--n", "400", "--m", "61"]
     size = 720 * count  # mu(400) * sigma(61) or |S_61|, each within its own cap
     assert size > getattr(cli, cap)
@@ -520,7 +600,7 @@ def test_rationals_above_the_level_cap_exit_two_before_any_chain(capsys, monkeyp
     def forbidden(*args, **kwargs):
         raise AssertionError("%s was started" % target)
 
-    monkeypatch.setattr(cli, target, forbidden)
+    monkeypatch.setattr(work_module(command, target), target, forbidden)
     limit = cli.CHAIN_LEVEL_CAP
     for q in ("1/%d" % (limit + 1), "%d/7" % (limit + 1), "-%d/3" % (limit + 1)):
         assert main([command, "--q", q]) == 2

@@ -93,6 +93,13 @@ def test_rational_string_round_trip():
         ExtendedRational.from_string("1/2/3")
 
 
+def test_matrix_string_reads_the_entries_row_by_row():
+    assert IntMatrix2.from_string("1,-2, +3 ,04") == IntMatrix2(1, -2, 3, 4)
+    for text, message in [("1,2,3", "a,b,c,d"), ("1,2,3,4,5", "a,b,c,d"), ("1,2,3,4_0", "integers"), ("1,2,3,٤", "integers")]:
+        with pytest.raises(ValueError, match=message):
+            IntMatrix2.from_string(text)
+
+
 def test_moebius_examples():
     assert S.moebius(INFINITY) == ZERO
     assert I.moebius(ZERO) == ZERO
