@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # The public names of each library module, in order; the module's `__all__` is its entry.
 _EXPORTS = {
     "exact_core": (
-        "ExtendedRational", "IntMatrix2", "FormalSum", "xgcd", "divisors", "MINUS_INFINITY",
-        "INFINITY", "ZERO", "ONE", "I", "T", "S", "T_PRIME",
+        "ExtendedRational", "IntMatrix2", "FormalSum", "xgcd", "divisors", "farey_step",
+        "farey_chain", "MINUS_INFINITY", "INFINITY", "ZERO", "ONE", "I", "T", "S", "T_PRIME",
     ),
     "farey": (
         "level", "farey_sequence", "left_neighbor", "lns", "chain_matrices", "m_of_q",

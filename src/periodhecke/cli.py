@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 # Largest accepted levels and Hecke indices, so that no command runs for
@@ -72,13 +71,14 @@ def operator_size_capped(args, index_cap, size_cap, merel=True):
     if m < 1:
         raise UsageError("Hecke index must be positive, got %d" % m)
     from .congruence import gamma0_index
-    from .exact_core import ExtendedRational, divisors
-    from .farey import lns
-    from .hecke import gen_xm
 
     if merel:
-        label, count = "|S_m|", sum(len(lns(ExtendedRational(a.b, a.d))) - 1 for a in gen_xm(m))
+        from .hecke import _merel_keys
+
+        label, count = "|S_m|", sum(1 for _ in _merel_keys(m))
     else:
+        from .exact_core import divisors
+
         label, count = "sigma(m)", sum(divisors(m))
     size = gamma0_index(n) * count
     if size > size_cap:
@@ -89,11 +89,14 @@ def operator_size_capped(args, index_cap, size_cap, merel=True):
 
 
 def _attach_dash_values(argv):
-    """Write `--flag -1/2` as `--flag=-1/2`: argparse reads a separate value
-    that starts with '-' as a flag unless it is a plain negative number."""
+    """Write `--flag -1/2` as `--flag=-1/2`, for a value that starts with a
+    dash and then a point or a decimal digit of any script: argparse reads
+    a separate value that starts with '-' as a flag unless it is a plain
+    negative number."""
     out = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", token):
+        dash_value = token[:1] == "-" and (token[1:2] == "." or token[1:2].isdecimal())
+        if dash_value and out and out[-1].startswith("--") and "=" not in out[-1]:
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -33,15 +33,40 @@ def divisors(m):
     """Positive divisors of m >= 1, ascending."""
     if m < 1:
         raise ValueError("divisors are taken of a positive integer, got %d" % m)
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
+
+
+def farey_step(a, b):
+    """The left neighbor (p, r) of the reduced a/b, b >= 0, in the Farey
+    sequence of level L = max(|a|, b).  For a != 0 it is the p/r with
+    a*r - b*p = 1 whose r is largest subject to r <= L and |p| <= L: those
+    r form the residue class of 1/a mod b, and |p| <= L caps r at
+    (L*b + 1) // a for a > 0 and at (L*b - 1) // |a| for a < 0."""
+    if b == 0:
+        if a < 0:
+            raise ValueError("-1/0 has no left neighbor")
+        return 0, 1
+    if a == 0:
+        return -1, 0
+    bound = max(abs(a), b)
+    cap = min(bound, (bound * b + 1) // a if a > 0 else (bound * b - 1) // -a)
+    r = cap - (cap - pow(a, -1, b)) % b
+    return (a * r - 1) // b, r
+
+
+def farey_chain(a, b):
+    """The (num, den) pairs of farey_step iterated from the reduced a/b >
+    -1/0, ascending from (-1, 0) to (a, b); the level strictly drops at
+    every step until the chain reaches -1/0."""
+    if b == 0 and a < 0:
+        raise ValueError("left neighbor sequence starts from q > -1/0")
+    chain = [(a, b)]
+    while b or a > 0:
+        a, b = farey_step(a, b)
+        chain.append((a, b))
+    chain.reverse()
+    return chain
 
 
 class Frozen:
@@ -84,14 +109,10 @@ class ExtendedRational(Frozen):
             raise ValueError("0/0 is not an extended rational")
         if den < 0:
             num, den = -num, -den
-        if den == 0:
-            num = 1 if num > 0 else -1
-        else:
-            g = math.gcd(num, den)
-            num //= g
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        # gcd(k, 0) = |k|, so k/0 becomes sign(k)/0 too.
+        g = math.gcd(num, den)
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def from_string(cls, text):
@@ -308,9 +329,7 @@ class FormalSum(Frozen):
     def __rmul__(self, other):
         if isinstance(other, IntMatrix2):
             return FormalSum((c, other * m) for c, m in self.terms)
-        if isinstance(other, int):
-            return FormalSum((c * other, m) for c, m in self.terms)
-        return NotImplemented
+        return self * other if isinstance(other, int) else NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, FormalSum):

@@ -4,7 +4,8 @@ unimodular matrix sums M(q) attached to rationals in [0, 1).
 No Farey table is built to find a neighbor.  The left neighbor p/r of a/b
 in the sequence of its level is the determinant-1 partner with
 a*r - b*p = 1 that has the largest denominator inside that level, so it
-comes from one modular inverse (an extended gcd) in O(log) steps.  The whole sequence of level
+comes from one modular inverse (an extended gcd) in O(log) steps; the step
+and the chain work on integers in exact_core.  The whole sequence of level
 n is produced by the next-term recurrence on [0, 1] and reflected through
 1/x and -x; it is only needed to list the sequence itself.
 """
@@ -19,7 +20,8 @@ from .exact_core import (
     MINUS_INFINITY,
     INFINITY,
     ZERO,
-    ONE,
+    farey_chain,
+    farey_step,
 )
 
 __all__ = list(_EXPORTS["farey"])
@@ -51,45 +53,16 @@ def farey_sequence(n):
 
 
 def left_neighbor(q):
-    """The largest member of the level-lev(q) Farey sequence strictly below q.
-
-    For q = a/b with a != 0 this is the p/r with a*r - b*p = 1 whose
-    denominator r is largest subject to r <= L and |p| <= L, where
-    L = max(|a|, b): the solutions r form the residue class of 1/a mod b,
-    and the bound on |p| caps r at (L*b + 1) // a for a > 0 and at
-    (L*b - 1) // |a| for a < 0.
-    """
-    a, b = q.num, q.den
-    if b == 0:
-        if a < 0:
-            raise ValueError("-1/0 has no left neighbor")
-        return ZERO
-    if a == 0:
-        return MINUS_INFINITY
-    bound = max(abs(a), b)
-    r0 = pow(a, -1, b)
-    if a > 0:
-        cap = min(bound, (bound * b + 1) // a)
-    else:
-        cap = min(bound, (bound * b - 1) // -a)
-    r = cap - (cap - r0) % b
-    return ExtendedRational((a * r - 1) // b, r)
+    """The largest member of the level-lev(q) Farey sequence strictly below q
+    (exact_core.farey_step)."""
+    return ExtendedRational(*farey_step(q.num, q.den))
 
 
 def lns(q):
     """Left-neighbor sequence of q in Q union {+1/0}: the ascending tuple
-    -1/0 = y_0 < y_1 < ... < y_L = q obtained by iterating left_neighbor
-    from q down to -1/0, so the chain takes len(lns(q)) - 1 steps.
-
-    Terminates because the level strictly drops at every step until the
-    chain reaches -1/0.
-    """
-    if q == MINUS_INFINITY:
-        raise ValueError("left neighbor sequence starts from q > -1/0")
-    chain = [q]
-    while chain[-1] != MINUS_INFINITY:
-        chain.append(left_neighbor(chain[-1]))
-    return tuple(reversed(chain))
+    -1/0 = y_0 < y_1 < ... < y_L = q of exact_core.farey_chain, so the
+    chain takes len(lns(q)) - 1 steps."""
+    return tuple(ExtendedRational(p, r) for p, r in farey_chain(q.num, q.den)[:-1]) + (q,)
 
 
 def chain_matrices(q):
@@ -100,13 +73,10 @@ def chain_matrices(q):
     always the identity, every summand has determinant 1, and no two are
     equal.
     """
-    if q.den == 0 or not (ZERO <= q < ONE):
+    if not 0 <= q.num < q.den:
         raise ValueError("m_of_q is defined for rationals in [0, 1)")
-    chain = lns(q)
-    return [
-        IntMatrix2(cur.den, -cur.num, prev.den, -prev.num)
-        for prev, cur in zip(chain, chain[1:])
-    ]
+    chain = farey_chain(q.num, q.den)
+    return [IntMatrix2(r, -p, r0, -p0) for (p0, r0), (p, r) in zip(chain, chain[1:])]
 
 
 def m_of_q(q):

@@ -11,8 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import _EXPORTS
-from .exact_core import ExtendedRational, FormalSum, Frozen, IntMatrix2, divisors, xgcd
-from .farey import chain_matrices
+from .exact_core import FormalSum, Frozen, IntMatrix2, divisors, farey_chain, xgcd
 
 __all__ = list(_EXPORTS["hecke"])
 
@@ -25,9 +24,7 @@ def gen_xm(m):
     """
     if m < 1:
         raise ValueError("determinant must be positive")
-    mats = [IntMatrix2(m // d, b, 0, d) for d in divisors(m) for b in range(d)]
-    mats.sort(key=lambda g: g.key)
-    return mats
+    return [IntMatrix2(m // d, b, 0, d) for d in reversed(divisors(m)) for b in range(d)]
 
 
 def in_xm(g, m=None):
@@ -88,12 +85,16 @@ def phi(table, a_mat, j):
     return HeckeCosetRecord(a_mat, j, table.index_of_row(product.c // m, product.d // m), s)
 
 
-def _merel_matrices(m):
-    """Merel's S_m, walked as L * sigma for sigma in X_m and L in the chain
-    matrices of sigma.b / sigma.d."""
-    for s in gen_xm(m):
-        for link in chain_matrices(ExtendedRational(s.b, s.d)):
-            yield link * s
+def _merel_keys(m):
+    """Merel's S_m as (a, b, c, d) keys: L * sigma for sigma = (m/d b; 0 d)
+    in X_m and each link L = (r -p; r' -p') of the chain of b/d, reduced.
+    Row (r, -p) of L gives the row (r*m/d, r*b - p*d) of L * sigma, and a
+    key is the row of a chain member followed by that of its left neighbor."""
+    for d in divisors(m):
+        for b in range(d):
+            g = math.gcd(b, d)
+            rows = [(r * m // d, r * b - p * d) for p, r in farey_chain(b // g, d // g)]
+            yield from map(tuple.__add__, rows[1:], rows)
 
 
 def h_tilde(m):
@@ -101,7 +102,7 @@ def h_tilde(m):
     sum over d | m, 0 <= b < d of M(b/d) * (m/d b; 0 d)."""
     if m < 1:
         raise ValueError("Hecke index must be positive")
-    return FormalSum.from_matrices(_merel_matrices(m))
+    return FormalSum.from_matrices(IntMatrix2(*key) for key in _merel_keys(m))
 
 
 def in_sm(g, m=None):
@@ -134,20 +135,6 @@ def gen_sm(m):
     return mats
 
 
-def _column_maps(mu, placements):
-    """Collect (B, j, i) placements into one length-mu column map per B;
-    a B that reaches row j twice raises ArithmeticError."""
-    maps = {}
-    for mat, j, i in placements:
-        image = maps.get(mat)
-        if image is None:
-            image = maps[mat] = [None] * mu
-        if image[j] is not None:
-            raise ArithmeticError("%r reaches row %d twice" % (mat, j))
-        image[j] = i
-    return list(maps.items())
-
-
 class HeckeOperatorMatrix(Frozen):
     """One Hecke operator on vector-valued period functions for Gamma0(n),
     stored as one column map per matrix B:
@@ -165,16 +152,19 @@ class HeckeOperatorMatrix(Frozen):
     def __init__(self, n, m, columns):
         columns = list(columns)
         if columns and not isinstance(columns[0][0], IntMatrix2):
-            cells = columns
-            columns = _column_maps(
-                len(cells),
-                (
-                    (mat, j, i)
-                    for j, row in enumerate(cells)
-                    for i, cell in enumerate(row)
-                    for mat in cell
-                ),
-            )
+            # Dense cells: collect one column map per B; a B that reaches
+            # row j twice raises ArithmeticError.
+            maps = {}
+            for j, row in enumerate(columns):
+                for i, cell in enumerate(row):
+                    for mat in cell:
+                        image = maps.get(mat)
+                        if image is None:
+                            image = maps[mat] = [None] * len(columns)
+                        if image[j] is not None:
+                            raise ArithmeticError("%r reaches row %d twice" % (mat, j))
+                        image[j] = i
+            columns = list(maps.items())
         if not columns:
             raise ValueError("an operator needs at least one matrix")
         mu = len(columns[0][1])
@@ -183,7 +173,7 @@ class HeckeOperatorMatrix(Frozen):
         for mat, image in columns:
             if not in_sm(mat, m):
                 raise ValueError("matrix %r breaks the determinant-%d entry conditions" % (mat, m))
-            if mat in maps or len(image) != mu or any(i not in valid for i in image):
+            if mat in maps or len(image) != mu or not valid.issuperset(image):
                 raise ValueError("matrix %r needs one map from %d rows to columns" % (mat, mu))
             maps[mat] = tuple(image)
         object.__setattr__(self, "n", n)
@@ -266,14 +256,14 @@ def vector_hecke(table, m):
     n, rows = table.n, table.points
     index_of_row = table.index_of_row
     columns = {}
-    for mat in _merel_matrices(m):
-        if mat in columns:
-            raise ArithmeticError("%r occurs twice among the chain matrices" % (mat,))
-        a, b, c_b, d_b = mat.key
-        image = columns[mat] = []
+    for key in _merel_keys(m):
+        a, b, c_b, d_b = key
+        image = []
         for c, d in rows:
             u, v = c * d_b - d * c_b, d * a - c * b
             image.append(index_of_row(u, v) if math.gcd(u, v, n) == 1 else None)
-    return HeckeOperatorMatrix(
-        n, m, [(mat, image) for mat, image in columns.items() if image.count(None) < len(rows)]
-    )
+        if image.count(None) < len(rows):
+            mat = IntMatrix2(*key)
+            if columns.setdefault(mat, image) is not image:
+                raise ArithmeticError("%r occurs twice among the chain matrices" % (mat,))
+    return HeckeOperatorMatrix(n, m, list(columns.items()))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -281,10 +282,10 @@ LOADED = [
     ("mq", run_main(["mq", "--q", "5/13"]), layers("exact_core", "farey")),
     ("cosets", run_main(["cosets", "--n", "12"]), layers("exact_core", "congruence")),
     ("rho", run_main(["rho", "--n", "12", "--word", "TST'"]), layers("exact_core", "congruence")),
-    ("sigma", run_main(["sigma", "--g", "0,-1,1,0", "--A", "1,0,0,2"]), layers("exact_core", "farey", "hecke")),
-    ("sm", run_main(["sm", "--m", "12"]), layers("exact_core", "farey", "hecke")),
-    ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core", "farey", "hecke")),
-    ("hecke-vector", run_main(["hecke-vector", "--n", "6", "--m", "5"]), EXACT_LAYERS),
+    ("sigma", run_main(["sigma", "--g", "0,-1,1,0", "--A", "1,0,0,2"]), layers("exact_core", "hecke")),
+    ("sm", run_main(["sm", "--m", "12"]), layers("exact_core", "hecke")),
+    ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core", "hecke")),
+    ("hecke-vector", run_main(["hecke-vector", "--n", "6", "--m", "5"]), layers("exact_core", "congruence", "hecke")),
     ("check-three-term", run_main(["check-three-term", "--n", "2", "--m", "3"]), CHECKS_LOAD),
     ("check-laplace", run_main(["check-laplace"]), CHECKS_LOAD),
     ("check-eta-loop", run_main(["check-eta-loop"]), CHECKS_LOAD),
@@ -310,6 +311,13 @@ def test_a_cold_check_run_loads_the_check_modules_and_every_exact_layer(script, 
 
 def test_a_check_subcommand_loads_the_numeric_layers():
     assert CHECK_MODULES <= modules_loaded_by(run_main(["check-three-term", "--n", "2", "--m", "3"]))
+
+
+def test_the_hecke_layer_loads_no_farey_layer():
+    # S_m is walked on the integer chains of exact_core.
+    assert modules_loaded_by("import periodhecke.hecke") == {
+        "periodhecke", "periodhecke.exact_core", "periodhecke.hecke"
+    }
 
 
 def test_the_package_alone_loads_no_module():
@@ -387,6 +395,36 @@ def test_values_starting_with_a_dash_parse(capsys, argv, expected):
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize(
+    "token,attached",
+    [
+        ("-1", True),
+        ("-0.5", True),
+        ("-.5", True),
+        ("-\u0663/7", True),  # ARABIC-INDIC DIGIT THREE
+        ("-\u0967", True),  # DEVANAGARI DIGIT ONE
+        ("-\U0001d7d9", True),  # MATHEMATICAL DOUBLE-STRUCK DIGIT ONE
+        ("-\u00b2", False),  # SUPERSCRIPT TWO: a digit, but not a decimal one
+        ("-\u216b", False),  # ROMAN NUMERAL TWELVE
+        ("-", False),
+        ("--", False),
+        ("--q", False),
+        ("-x", False),
+        ("-S", False),
+        ("1", False),
+        ("", False),
+    ],
+)
+def test_a_dash_value_is_what_the_regex_dash_digit_or_point_matches(token, attached):
+    # The test matches re.match(r"-[\d.]", token) without a regex: \d
+    # accepts exactly what isdecimal() does.
+    assert bool(re.match(r"-[\d.]", token)) == attached
+    expected = ["--q=" + token] if attached else ["--q", token]
+    assert cli._attach_dash_values(["--q", token]) == expected
+    # A value is attached only to a flag that has none yet.
+    assert cli._attach_dash_values(["--q=1", token]) == ["--q=1", token]
 
 
 def test_mq_of_a_negative_rational_parses_and_names_the_domain(capsys):

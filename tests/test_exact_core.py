@@ -13,6 +13,8 @@ from periodhecke.exact_core import (
     T,
     T_PRIME,
     ZERO,
+    farey_chain,
+    farey_step,
     xgcd,
 )
 
@@ -178,6 +180,53 @@ def test_xgcd():
 
         assert g == math.gcd(a, b)
         assert a * x + b * y == g
+
+
+def reference_left_neighbor(q):
+    """The left neighbor as farey.left_neighbor computed it on extended
+    rationals before its step moved to exact_core, kept as the oracle."""
+    a, b = q.num, q.den
+    if b == 0:
+        if a < 0:
+            raise ValueError("-1/0 has no left neighbor")
+        return ZERO
+    if a == 0:
+        return MINUS_INFINITY
+    bound = max(abs(a), b)
+    r0 = pow(a, -1, b)
+    if a > 0:
+        cap = min(bound, (bound * b + 1) // a)
+    else:
+        cap = min(bound, (bound * b - 1) // -a)
+    r = cap - (cap - r0) % b
+    return ExtendedRational((a * r - 1) // b, r)
+
+
+def test_farey_chain_is_the_reference_left_neighbor_iteration():
+    # Every reduced a/b of level <= 150 above -1/0, negatives, 0/1 and 1/0
+    # included; chains[q] is the iteration from q down to -1/0, ascending.
+    chains = {MINUS_INFINITY: [(-1, 0)]}
+
+    def reference_chain(q):
+        if q not in chains:
+            chains[q] = reference_chain(reference_left_neighbor(q)) + [(q.num, q.den)]
+        return chains[q]
+
+    bound = 150
+    starts = {rat(a, b) for a in range(-bound, bound + 1) for b in range(bound + 1) if (a, b) != (0, 0)}
+    starts.remove(MINUS_INFINITY)
+    assert {ZERO, INFINITY, rat(-150, 149), rat(149, 150)} <= starts
+    for q in sorted(starts):
+        chain = farey_chain(q.num, q.den)
+        assert chain == reference_chain(q), q
+        assert farey_step(q.num, q.den) == chain[-2]
+
+
+def test_the_chain_and_the_step_reject_minus_infinity():
+    with pytest.raises(ValueError, match="starts from q > -1/0"):
+        farey_chain(-1, 0)
+    with pytest.raises(ValueError, match="-1/0 has no left neighbor"):
+        farey_step(-1, 0)
 
 
 def test_formal_sum_merging_and_canonical_order():

@@ -338,8 +338,8 @@ def test_a_value_can_be_shared_since_no_attribute_can_be_assigned(make):
 def test_vector_hecke_rejects_a_chain_that_repeats_a_matrix(monkeypatch, fresh_caches):
     from periodhecke import hecke
 
-    real = hecke.chain_matrices
-    monkeypatch.setattr(hecke, "chain_matrices", lambda q: real(q) * 2)
+    real = hecke.farey_chain
+    monkeypatch.setattr(hecke, "farey_chain", lambda a, b: real(a, b) * 2)
     with pytest.raises(ArithmeticError, match="twice"):
         vector_hecke(coset_table(2), 3)
 
@@ -415,8 +415,8 @@ def test_vector_hecke_builds_one_chain_per_member_of_x_m(monkeypatch, fresh_cach
     from periodhecke import hecke
 
     calls = []
-    real = hecke.chain_matrices
-    monkeypatch.setattr(hecke, "chain_matrices", lambda q: calls.append(q) or real(q))
+    real = hecke.farey_chain
+    monkeypatch.setattr(hecke, "farey_chain", lambda a, b: calls.append((a, b)) or real(a, b))
     vector_hecke(coset_table(n), m)
     assert len(calls) == len(gen_xm(m))
 
