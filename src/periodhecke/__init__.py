@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exact_core": (
         "ExtendedRational", "IntMatrix2", "FormalSum", "xgcd", "divisors", "farey_step",
-        "farey_chain", "MINUS_INFINITY", "INFINITY", "ZERO", "ONE", "I", "T", "S", "T_PRIME",
+        "farey_chain", "MINUS_INFINITY", "INFINITY", "ZERO", "I", "T", "S", "T_PRIME",
     ),
     "farey": (
         "level", "farey_sequence", "left_neighbor", "lns", "chain_matrices", "m_of_q",

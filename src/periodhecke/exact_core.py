@@ -148,7 +148,6 @@ class ExtendedRational(Frozen):
 MINUS_INFINITY = ExtendedRational(-1, 0)
 INFINITY = ExtendedRational(1, 0)
 ZERO = ExtendedRational(0, 1)
-ONE = ExtendedRational(1, 1)
 
 
 class IntMatrix2(Frozen):
@@ -273,12 +272,6 @@ class FormalSum(Frozen):
     def from_matrices(cls, mats):
         """Sum of the given matrices, each with coefficient 1."""
         return cls((1, m) for m in mats)
-
-    def coefficient(self, mat):
-        for coeff, m in self.terms:
-            if m == mat:
-                return coeff
-        return 0
 
     def support(self):
         """The distinct matrices with nonzero coefficient, in canonical order."""

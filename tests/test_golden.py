@@ -2,8 +2,10 @@
 
 Each case runs `periodhecke.cli.main(argv)` in-process and compares the
 bytes written to stdout with `tests/golden/<name>`.  A change that alters
-any recorded byte is a change of output, not a refactoring.  To add a case,
-append it to CASES and record only the new files with
+any recorded byte is a change of output, not a refactoring.  CI also
+replays every case in CASES through the installed `periodhecke` script,
+each in a fresh process, so a new case needs no entry anywhere else.  To
+add a case, append it to CASES and record only the new files with
 
     PYTHONPATH=src python tests/test_golden.py NAME...
 """
@@ -75,6 +77,11 @@ def run(argv):
 
 def test_case_names_are_unique():
     assert len({name for name, _ in CASES}) == len(CASES)
+
+
+def test_every_golden_file_is_a_case():
+    # CI reads CASES too, so a golden file with no case is checked nowhere.
+    assert {path.name for path in GOLDEN_DIR.iterdir()} == {name for name, _ in CASES}
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
