@@ -20,7 +20,7 @@ from . import cli
 from .congruence import coset_table
 from .hecke import vector_hecke
 from .numeric import ETA_FD_STEP, cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
-from .verify import RELATIVE_TOLERANCE, residual_and_scale, run_all_checks, sample_points
+from .verify import residual_and_scale, run_all_checks, sample_points, three_term_tolerance
 
 # The fixed settings of the check commands.
 THREE_TERM_POINTS = 100
@@ -70,17 +70,17 @@ def cmd_check_three_term(args):
     table = coset_table(n)
     psi = cusp_solution(table, s)
     op = vector_hecke(table, m)
+    zetas = sample_points(THREE_TERM_POINTS)
     with _float_range(args.s):
-        worst, largest = residual_and_scale(
-            hecke_image(op, psi, s), table, s, sample_points(THREE_TERM_POINTS)
-        )
+        worst, largest = residual_and_scale(hecke_image(op, psi, s), table, s, zetas)
         _finite(worst, largest)
     if largest == 0:
         raise cli.UsageError("the Hecke image vanishes at --s %s, so there is nothing to check" % args.s)
+    tolerance = three_term_tolerance(s, zetas[0])
     relative = worst / largest
     payload = {"max_residual": relative, "points": THREE_TERM_POINTS}
     lines = ["max_residual\t%r" % relative, "points\t%d" % THREE_TERM_POINTS]
-    return lambda: cli.dumps(payload), lambda: lines, 0 if relative <= RELATIVE_TOLERANCE else 1
+    return lambda: cli.dumps(payload), lambda: lines, 0 if relative <= tolerance else 1
 
 
 def cmd_check_laplace(args):

@@ -214,6 +214,20 @@ class CosetTable(Frozen):
             index = self._index_of_pair[pair] = self._index_of_pair[_p1_key(self.n, *pair)]
         return index
 
+    def images(self, a, b, c, d):
+        """The action of g = (a b; c d) on the cosets: entry i is the coset
+        of the point of (x, y) * g for the point (x, y) of coset i, or None
+        where that row (u, v) has gcd(u, v, n) > 1.  (x, y) is a unit
+        multiple of the bottom row of reps[i], which changes neither, so
+        for det g = +-1 entry i is the coset of reps[i] * g."""
+        n, known, index_of_row = self.n, self._index_of_pair.get, self.index_of_row
+        images = []
+        for x, y in self.points:
+            u, v = (x * a + y * c) % n, (x * b + y * d) % n
+            index = known((u, v))
+            images.append(index if index is not None or math.gcd(u, v, n) > 1 else index_of_row(u, v))
+        return tuple(images)
+
     def __repr__(self):
         return "CosetTable(n=%d, mu=%d)" % (self.n, self.mu)
 
@@ -284,16 +298,12 @@ def rho(table, g):
     repeated calls return the same immutable matrix.
 
     Satisfies rho(g') @ rho(g) == rho(g' * g).  Determinant -1 arguments are
-    accepted through the same coset key (see module docstring).  Row i is
-    the coset of reps[i] * g, read from (x, y) * g for (x, y) the point of
-    coset i: (x, y) is a unit multiple of the bottom row of reps[i], so
-    (x, y) * g is one of the bottom row of reps[i] * g.
+    accepted through the same coset key (see module docstring); row i is
+    read from CosetTable.images.
     """
     if g.det not in (1, -1):
         raise ValueError("coset lookup needs determinant +-1, got %d" % g.det)
-    a, b, c, d = g.key
-    index_of_row = table.index_of_row
-    return PermutationMatrix(index_of_row(x * a + y * c, x * b + y * d) for x, y in table.points)
+    return PermutationMatrix(table.images(*g.key))
 
 
 def coset_projection(m, n):

@@ -141,10 +141,11 @@ class HeckeOperatorMatrix(Frozen):
 
         (T psi)_j = sum over (B, f_B) in columns of psi_{f_B[j]} | B.
 
-    Every B has determinant m and positive-dominant entries (a > c >= 0,
-    d > b >= 0), columns is sorted by the key of B, and f_B is a tuple of
-    mu column indices with None for the rows B does not reach.  The dense
-    form (see entries) is accepted in place of columns.
+    Every B occurs once and has determinant m and positive-dominant
+    entries (a > c >= 0, d > b >= 0), columns is sorted by the key of B,
+    and f_B is a tuple of mu column indices with None for the rows B does
+    not reach; the constructor checks all of it.  The dense form (see
+    entries) is accepted in place of columns.
     """
 
     __slots__ = ("n", "m", "mu", "columns")
@@ -167,15 +168,16 @@ class HeckeOperatorMatrix(Frozen):
             columns = list(maps.items())
         if not columns:
             raise ValueError("an operator needs at least one matrix")
+        maps = {mat: tuple(image) for mat, image in columns}
+        if len(maps) < len(columns):
+            raise ArithmeticError("a matrix occurs twice among the columns")
         mu = len(columns[0][1])
         valid = set(range(mu)) | {None}
-        maps = {}
-        for mat, image in columns:
+        for mat, image in maps.items():
             if not in_sm(mat, m):
                 raise ValueError("matrix %r breaks the determinant-%d entry conditions" % (mat, m))
-            if mat in maps or len(image) != mu or not valid.issuperset(image):
+            if len(image) != mu or not valid.issuperset(image):
                 raise ValueError("matrix %r needs one map from %d rows to columns" % (mat, mu))
-            maps[mat] = tuple(image)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "mu", mu)
@@ -236,34 +238,21 @@ def vector_hecke(table, m):
     The defining set is {A = (a b; 0 d) in X_m : gcd(a, n) = 1}, the usual
     one for T_m on Gamma0(n): all of X_m when gcd(m, n) = 1, and T_1 is the
     identity.  The chain of each sigma in X_m is built once; every B =
-    L * sigma it yields is new, since sigma is the X_m normal form of B.  In
-    the paper's bookkeeping row j of B is reached by the one A with
-    sigma_{reps[j]}(A) = sigma, and lands in the coset of reps[phi] * L^-1,
-    which holds U = A * reps[j] * B^-1.  For the bottom row (c, d) of
-    reps[j] let
-
-        (u, v) = (c, d) * adj(B) = (c*d_B - d*c_B, d*a_B - c*b_B).
-
-    U is unimodular with bottom row d_A * (c, d) * B^-1 = (u, v) / a_A, so
-    a_A = gcd(u, v): A lies in the defining set exactly when gcd(u, v, n)
-    = 1, and then the coset of U is the P^1 point of (u, v), a_A being a
-    unit mod n.  A unit multiple of (c, d) changes neither gcd(u, v, n) nor
-    that point, so the point of coset j (table.points) stands in for the
-    bottom row of reps[j], and no representative is built.
+    L * sigma it yields is new, since sigma is the X_m normal form of B,
+    and the constructor rejects a repeat.  In the paper's bookkeeping row j
+    of B is reached by the one A with sigma_{reps[j]}(A) = sigma, and lands
+    in the coset of U = A * reps[j] * B^-1, that of reps[phi] * L^-1.  For
+    the bottom row (c, d) of reps[j], U is unimodular with bottom row
+    d_A * (c, d) * B^-1 = (c, d) * adj(B) / a_A, so a_A is the gcd of
+    (c, d) * adj(B): A lies in the defining set exactly when that row is a
+    point of P^1(Z/nZ), and then it names the coset of U, a_A being a unit
+    mod n.  So f_B is CosetTable.images of adj(B).
     """
     if m < 1:
         raise ValueError("Hecke index must be positive")
-    n, rows = table.n, table.points
-    index_of_row = table.index_of_row
-    columns = {}
-    for key in _merel_keys(m):
-        a, b, c_b, d_b = key
-        image = []
-        for c, d in rows:
-            u, v = c * d_b - d * c_b, d * a - c * b
-            image.append(index_of_row(u, v) if math.gcd(u, v, n) == 1 else None)
-        if image.count(None) < len(rows):
-            mat = IntMatrix2(*key)
-            if columns.setdefault(mat, image) is not image:
-                raise ArithmeticError("%r occurs twice among the chain matrices" % (mat,))
-    return HeckeOperatorMatrix(n, m, list(columns.items()))
+    columns = []
+    for a, b, c, d in _merel_keys(m):
+        image = table.images(d, -b, -c, a)
+        if image.count(None) < table.mu:
+            columns.append((IntMatrix2(a, b, c, d), image))
+    return HeckeOperatorMatrix(table.n, m, columns)

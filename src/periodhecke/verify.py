@@ -22,9 +22,9 @@ from .numeric import (
     transfer_residual,
 )
 
-__all__ = ["run_all_checks", "residual_and_scale", "sample_points"]
+__all__ = ["run_all_checks", "residual_and_scale", "sample_points", "three_term_tolerance"]
 
-RELATIVE_TOLERANCE = 1e-9
+RELATIVE_TOLERANCE = 1e-12
 VERIFY_POINTS = 25
 
 # rho without its memo, for the random words the checks use once, so that
@@ -69,12 +69,13 @@ def _max_abs(current, values):
 
 def residual_and_scale(psi, table, s, zetas):
     """The largest three-term residual of psi over the points zetas, and
-    the largest |psi| there, which the residual is measured against; each
-    is NaN if any value it folds is NaN.
+    the largest of the three terms it sums there, psi(zeta),
+    rho psi(zeta+1) and (zeta+1)^(-2s) rho psi(zeta/(zeta+1)), which the
+    residual is measured against; each is NaN if any value it folds is NaN.
 
-    psi is called three times per point: the scale reads the value
-    psi(zeta) that the residual evaluates, and one point's values are held
-    at a time."""
+    psi is called three times per point: the scale reads the values that
+    the residual evaluates, and one point's values are held at a time.  A
+    permutation keeps the largest |.|, so the scale applies no rho."""
     held = {}
 
     def recorded(z):
@@ -85,8 +86,26 @@ def residual_and_scale(psi, table, s, zetas):
     for zeta in zetas:
         held.clear()
         worst = _max_abs(worst, three_term_residual(recorded, table, s, zeta))
-        largest = _max_abs(largest, held[zeta])
+        weight = (zeta + 1) ** (-2 * s)
+        terms = [*held[zeta], *held[zeta + 1], *(weight * x for x in held[zeta / (zeta + 1)])]
+        largest = _max_abs(largest, terms)
     return worst, largest
+
+
+def three_term_tolerance(s, zeta):
+    """The relative tolerance of the three-term checks at s,
+    RELATIVE_TOLERANCE * max(1, |s|): the rounding error of the weights
+    (z+1)^(-2s) grows with |s|.  Below Re s = 0 a misplaced column's
+    relative residual can fall like (1 + zeta)^(2 Re s), zeta the least
+    sample point (2.6e-9 for a rotated T_3 at level 2 and s = -100), so
+    where 20 times the tolerance exceeds that factor no check could fail
+    it, and ValueError is raised."""
+    tolerance = RELATIVE_TOLERANCE * max(1.0, abs(s))
+    if 20 * tolerance > (1 + zeta) ** (2 * min(0.0, s.real)):
+        raise ValueError(
+            "at s = %s the three-term tolerance %.1e cannot tell a misplaced column from rounding" % (s, tolerance)
+        )
+    return tolerance
 
 
 def _record_matches(table, maps, a_mat, j):
@@ -192,21 +211,20 @@ def run_all_checks(n, m, s=1.0):
 
     zetas = sample_points(VERIFY_POINTS)
     worst_in, largest_in = residual_and_scale(psi, table, s, zetas)
+    worst_out, largest_out = residual_and_scale(hecke_image(op, psi, s), table, s, zetas)
+    tolerance = three_term_tolerance(s, zetas[0])
     checks.append(
         (
             "three-term-input",
-            largest_in > 0 and worst_in <= 1e-12 * largest_in,
-            "max residual %.3e, max |psi| %.3e" % (worst_in, largest_in),
+            largest_in > 0 and worst_in <= tolerance * largest_in,
+            "max residual %.3e, largest term %.3e (relative tolerance %.1e)" % (worst_in, largest_in, tolerance),
         )
     )
-
-    worst_out, largest_out = residual_and_scale(hecke_image(op, psi, s), table, s, zetas)
     checks.append(
         (
             "three-term-preserved",
-            largest_out > 0 and worst_out <= RELATIVE_TOLERANCE * largest_out,
-            "max residual %.3e, max |image| %.3e (relative tolerance %.1e)"
-            % (worst_out, largest_out, RELATIVE_TOLERANCE),
+            largest_out > 0 and worst_out <= tolerance * largest_out,
+            "max residual %.3e, largest term %.3e (relative tolerance %.1e)" % (worst_out, largest_out, tolerance),
         )
     )
 

@@ -226,6 +226,42 @@ def test_check_failure_exits_one(capsys, monkeypatch):
         validate(argv[0], json.loads(capsys.readouterr().out))
 
 
+# Runs at |s| > 1: measured against max |psi| or max |image| alone, or
+# under a tolerance that ignores |s|, a correct operator fails each one.
+LARGE_S_RUNS = [
+    ["verify-all", "--n", "6", "--m", "5", "--s=-60", "--format", "tsv"],
+    ["verify-all", "--n", "2", "--m", "2", "--s", "0.5,1e5", "--format", "tsv"],
+    ["check-three-term", "--n", "2", "--m", "2", "--s", "0.5,1e7"],
+]
+
+
+@pytest.mark.parametrize("argv", LARGE_S_RUNS, ids=" ".join)
+def test_a_correct_operator_passes_at_large_s_and_a_rotated_one_fails(capsys, monkeypatch, argv):
+    from periodhecke import checks, verify
+
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(verify if argv[0] == "verify-all" else checks, "vector_hecke", rotated_vector_hecke)
+    assert main(argv) == 1
+    if argv[0] == "verify-all":
+        assert "three-term-preserved\tFAIL\t" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-three-term", "--n", "2", "--m", "3", "--s", "0.5,1e11"],
+        ["verify-all", "--n", "3", "--m", "2", "--s=-110"],
+    ],
+    ids=" ".join,
+)
+def test_an_s_where_the_tolerance_cannot_fail_a_misplaced_column_exits_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot tell a misplaced column from rounding" in captured.err
+
+
 def test_module_entry_point():
     import subprocess
     import sys

@@ -440,6 +440,34 @@ def test_rho_rows_are_the_cosets_of_the_products(n):
         assert rho(table, g).image == tuple(table.index(rep * g) for rep in table.reps)
 
 
+def matrices_of_determinant(rng, det, count):
+    """count matrices of determinant det with entries in [-6, 6], each with
+    a negative entry."""
+    found = []
+    while len(found) < count:
+        g = IntMatrix2(*(rng.randint(-6, 6) for _ in range(4)))
+        if g.det == det and min(g.key) < 0:
+            found.append(g)
+    return found
+
+
+def test_images_are_the_cosets_of_the_products_or_none():
+    # The oracle takes the bottom row of reps[i] * g and finds the rep whose
+    # bottom row it is a unit multiple of; no point or key is read.
+    rng = random.Random(12)
+    matrices = [g for det in range(1, 13) for g in matrices_of_determinant(rng, det, 3)]
+    off_the_line = 0
+    for n in range(1, 41):
+        table = coset_table(n)
+        units = [u for u in range(n) if math.gcd(u, n) == 1]
+        coset_of_row = {(u * r.c % n, u * r.d % n): j for j, r in enumerate(table.reps) for u in units}
+        for g in matrices:
+            expected = tuple(coset_of_row.get(((r * g).c % n, (r * g).d % n)) for r in table.reps)
+            assert table.images(*g.key) == expected, (n, g)
+            off_the_line += expected.count(None)
+    assert off_the_line > 0
+
+
 def test_rho_returns_one_shared_matrix_per_table_and_word():
     table = coset_table(10)
     word = S * T * T_PRIME

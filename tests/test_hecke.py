@@ -344,6 +344,12 @@ def test_vector_hecke_rejects_a_chain_that_repeats_a_matrix(monkeypatch, fresh_c
         vector_hecke(coset_table(2), 3)
 
 
+def test_a_matrix_twice_in_the_column_form_is_rejected():
+    op = vector_hecke(coset_table(6), 5)
+    with pytest.raises(ArithmeticError, match="occurs twice"):
+        HeckeOperatorMatrix(op.n, op.m, op.columns + op.columns[-1:])
+
+
 def test_dense_view_round_trips_through_the_constructor():
     op = vector_hecke(coset_table(6), 5)
     assert HeckeOperatorMatrix(op.n, op.m, op.entries) == op

@@ -359,18 +359,16 @@ def test_residuals_build_their_permutations_once_per_table(monkeypatch):
     three_term_residual(psi, table, 1, 0.5)
     transfer_residual(psi, table, 1, 1, 0.5)
     calls = []
-    original = CosetTable.index_of_row
-    monkeypatch.setattr(
-        CosetTable, "index_of_row", lambda self, c, d: calls.append((c, d)) or original(self, c, d)
-    )
+    original = CosetTable.images
+    monkeypatch.setattr(CosetTable, "images", lambda self, *key: calls.append(key) or original(self, *key))
     for zeta in (0.2, 0.7, 3.0):
         three_term_residual(psi, table, 1, zeta)
         transfer_residual(psi, table, 1, 1, zeta)
     assert calls == []
     # The watch is live: a table no permutation was built for yet (equal
-    # reps, but another object) looks each of its rows up.
+    # reps, but another object) computes the action of the word once.
     rho(CosetTable(14, table.reps), _T_INVERSE)
-    assert len(calls) == table.mu
+    assert calls == [_T_INVERSE.key]
     # Both memos are bounded.
     assert rho.cache_info().maxsize is not None
     assert vector_hecke.cache_info().maxsize is not None

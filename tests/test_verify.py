@@ -7,7 +7,7 @@ from periodhecke.congruence import PermutationMatrix, coset_table, rho
 from periodhecke.exact_core import ExtendedRational, FormalSum, IntMatrix2
 from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
 from periodhecke.numeric import cusp_solution, hecke_image, three_term_residual
-from periodhecke.verify import residual_and_scale, run_all_checks, sample_points
+from periodhecke.verify import residual_and_scale, run_all_checks, sample_points, three_term_tolerance
 
 
 def failed(checks):
@@ -83,6 +83,43 @@ def test_residual_is_measured_against_the_size_of_the_image():
     assert checks["three-term-preserved"]
 
 
+GRID_S = [-100, -60, -10, -1, -0.5, 0.5, 1, 2.5, 10, 30, 0.5 + 3j, 0.5 + 100j, 0.5 + 1e4j, 0.5 + 1e6j, -60 + 1e4j]
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (6, 5), (13, 13), (30, 7)])
+def test_the_scaled_tolerance_separates_the_operator_from_a_rotated_one(n, m):
+    # Measured against the largest of the three terms, the correct image
+    # stays 10x under RELATIVE_TOLERANCE * max(1, |s|) and the rotated
+    # one 10x over it, from s = -100 to |s| = 1e6; s that overflow are
+    # skipped.
+    table = coset_table(n)
+    op = vector_hecke(table, m)
+    zetas = sample_points(25)
+    compared = 0
+    for s in GRID_S:
+        psi = cusp_solution(table, s)
+        try:
+            worst, largest = residual_and_scale(hecke_image(op, psi, s), table, s, zetas)
+        except OverflowError:
+            continue
+        tolerance = three_term_tolerance(s, zetas[0])
+        assert worst <= tolerance * largest / 10, s
+        if table.mu > 1:
+            worst, largest = residual_and_scale(hecke_image(rotated(table, m), psi, s), table, s, zetas)
+            assert worst > 10 * tolerance * largest, s
+        compared += 1
+    assert compared >= 12
+
+
+def test_the_tolerance_scales_with_abs_s_and_refuses_where_it_cannot_separate():
+    assert three_term_tolerance(1, 0.1) == three_term_tolerance(0.6 + 0.8j, 0.1) == verify.RELATIVE_TOLERANCE
+    assert three_term_tolerance(0.5 + 1e7j, 0.1) == pytest.approx(1e7 * verify.RELATIVE_TOLERANCE)
+    assert three_term_tolerance(-100, 0.1) == pytest.approx(100 * verify.RELATIVE_TOLERANCE)
+    for s in (-110, 0.5 + 1e11j, -100 + 1e7j):
+        with pytest.raises(ValueError, match="cannot tell a misplaced column from rounding"):
+            three_term_tolerance(s, 0.1)
+
+
 def test_transfer_check_keeps_its_s_equal_one_reference():
     checks = {name: (passed, detail) for name, passed, detail in run_all_checks(1, 2, s=2.5)}
     passed, detail = checks["transfer-equation-signs"]
@@ -120,9 +157,11 @@ def test_an_unreached_row_fails_the_entry_conditions(monkeypatch):
 
 def flat_residual_and_scale(psi, table, s, zetas):
     """The definition: one max() over every residual value, and one over
-    psi evaluated again at every point."""
+    every term the residuals sum, psi evaluated again at each argument."""
     residual = max(abs(x) for z in zetas for x in three_term_residual(psi, table, s, z))
-    return residual, max(abs(x) for z in zetas for x in psi(z))
+    arguments = [(z, 1) for z in zetas] + [(z + 1, 1) for z in zetas]
+    arguments += [(z / (z + 1), (z + 1) ** (-2 * s)) for z in zetas]
+    return residual, max(abs(weight * x) for z, weight in arguments for x in psi(z))
 
 
 def test_residual_and_scale_evaluates_psi_three_times_per_point():
@@ -147,10 +186,11 @@ def test_residual_and_scale_propagates_a_nan():
     psi = lambda z: [1.0, math.nan, 3.0] if z == 2.0 else [1.0, 2.0, 3.0]
     worst, largest = residual_and_scale(psi, table, 1, zetas)
     assert math.isnan(worst) and math.isnan(largest)
-    # psi(3) is read by the residual at 2 only, so the scale stays finite.
+    # psi(3) = psi(2 + 1) is a term of the residual at 2 and no sample
+    # point, and the scale folds it as well.
     psi = lambda z: [1.0, math.nan, 3.0] if z == 3.0 else [1.0, 2.0, 3.0]
     worst, largest = residual_and_scale(psi, table, 1, zetas)
-    assert math.isnan(worst) and largest == 3.0
+    assert math.isnan(worst) and math.isnan(largest)
 
 
 def nan_beyond(limit):
