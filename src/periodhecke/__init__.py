@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exact_core": (
         "ExtendedRational", "IntMatrix2", "FormalSum", "xgcd", "divisors", "farey_step",
-        "farey_chain", "MINUS_INFINITY", "INFINITY", "ZERO", "I", "T", "S", "T_PRIME",
+        "farey_chain", "h_tilde", "MINUS_INFINITY", "INFINITY", "ZERO", "I", "T", "S", "T_PRIME",
     ),
     "farey": (
         "level", "farey_sequence", "left_neighbor", "lns", "chain_matrices", "m_of_q",
@@ -28,8 +28,8 @@ _EXPORTS = {
         "coset_projection",
     ),
     "hecke": (
-        "gen_xm", "in_xm", "xm_representative", "sigma", "HeckeCosetRecord", "phi", "h_tilde",
-        "gen_sm", "in_sm", "HeckeOperatorMatrix", "vector_hecke",
+        "gen_xm", "in_xm", "xm_representative", "sigma", "HeckeCosetRecord", "phi", "gen_sm",
+        "in_sm", "HeckeOperatorMatrix", "vector_hecke",
     ),
     "numeric": (
         "slash_eval", "constant_lift", "cusp_solution", "three_term_residual", "transfer_residual",

@@ -73,7 +73,7 @@ def operator_size_capped(args, index_cap, size_cap, merel=True):
     from .congruence import gamma0_index
 
     if merel:
-        from .hecke import _merel_keys
+        from .exact_core import _merel_keys
 
         label, count = "|S_m|", sum(1 for _ in _merel_keys(m))
     else:
@@ -249,7 +249,7 @@ def _cmd_sigma(args):
 
 def _cmd_hecke_scalar(args):
     m = _capped(args.m, SCALAR_INDEX_CAP, "--m")
-    from .hecke import h_tilde
+    from .exact_core import h_tilde
 
     total = h_tilde(m)
     return lambda: _json_formal_sum(total), lambda: _tsv_formal_sum(total), 0

@@ -33,6 +33,8 @@ def gamma0_contains(n, g):
 
 def gamma0_index(n):
     """The index of Gamma0(n) in SL(2,Z): n * prod over primes p | n of (1 + 1/p)."""
+    if n < 1:
+        raise ValueError("level must be positive")
     mu = n
     rest, p = n, 2
     while p * p <= rest:

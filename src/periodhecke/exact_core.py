@@ -1,5 +1,7 @@
 """Exact arithmetic layer: extended rationals, 2x2 integer matrices with
-their Moebius action, and integer-coefficient formal sums of matrices.
+their Moebius action, integer-coefficient formal sums of matrices, and the
+integer Farey chains with Merel's S_m walked on them, which gives the
+scalar Hecke operator h_tilde.
 
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely between threads.  Python integers
@@ -67,6 +69,26 @@ def farey_chain(a, b):
         chain.append((a, b))
     chain.reverse()
     return chain
+
+
+def _merel_keys(m):
+    """Merel's S_m as (a, b, c, d) keys: L * sigma for sigma = (m/d b; 0 d)
+    in X_m and each link L = (r -p; r' -p') of the chain of b/d, reduced.
+    Row (r, -p) of L gives the row (r*m/d, r*b - p*d) of L * sigma, and a
+    key is the row of a chain member followed by that of its left neighbor."""
+    for d in divisors(m):
+        for b in range(d):
+            g = math.gcd(b, d)
+            rows = [(r * m // d, r * b - p * d) for p, r in farey_chain(b // g, d // g)]
+            yield from map(tuple.__add__, rows[1:], rows)
+
+
+def h_tilde(m):
+    """The scalar Hecke operator on period functions as a formal sum:
+    sum over d | m, 0 <= b < d of M(b/d) * (m/d b; 0 d)."""
+    if m < 1:
+        raise ValueError("Hecke index must be positive")
+    return FormalSum.from_matrices(IntMatrix2(*key) for key in _merel_keys(m))
 
 
 class Frozen:

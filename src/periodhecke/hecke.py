@@ -1,17 +1,18 @@
 """The upper-triangular sets X_m and their normal form, the coset
-bookkeeping maps sigma_g and phi_A, the scalar operator sum on period
-functions, and the assembly of the vector-valued Hecke operator matrix for
-Gamma0(n).
+bookkeeping maps sigma_g and phi_A, the set S_m by enumeration, and the
+assembly of the vector-valued Hecke operator matrix for Gamma0(n) from
+Merel's walk of S_m.  That walk and the scalar operator h_tilde live in
+exact_core, beside the integer Farey chains they are built on; h_tilde is
+bound here as well, so hecke.h_tilde names the same function.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 
 from . import _EXPORTS
-from .exact_core import FormalSum, Frozen, IntMatrix2, divisors, farey_chain, xgcd
+from .exact_core import FormalSum, Frozen, IntMatrix2, _merel_keys, divisors, h_tilde, xgcd
 
 __all__ = list(_EXPORTS["hecke"])
 
@@ -83,26 +84,6 @@ def phi(table, a_mat, j):
     if any(entry % m for entry in product.key):
         raise ArithmeticError("A * reps[%d] * adj(%r) is not divisible by %d" % (j, s, m))
     return HeckeCosetRecord(a_mat, j, table.index_of_row(product.c // m, product.d // m), s)
-
-
-def _merel_keys(m):
-    """Merel's S_m as (a, b, c, d) keys: L * sigma for sigma = (m/d b; 0 d)
-    in X_m and each link L = (r -p; r' -p') of the chain of b/d, reduced.
-    Row (r, -p) of L gives the row (r*m/d, r*b - p*d) of L * sigma, and a
-    key is the row of a chain member followed by that of its left neighbor."""
-    for d in divisors(m):
-        for b in range(d):
-            g = math.gcd(b, d)
-            rows = [(r * m // d, r * b - p * d) for p, r in farey_chain(b // g, d // g)]
-            yield from map(tuple.__add__, rows[1:], rows)
-
-
-def h_tilde(m):
-    """The scalar Hecke operator on period functions as a formal sum:
-    sum over d | m, 0 <= b < d of M(b/d) * (m/d b; 0 d)."""
-    if m < 1:
-        raise ValueError("Hecke index must be positive")
-    return FormalSum.from_matrices(IntMatrix2(*key) for key in _merel_keys(m))
 
 
 def in_sm(g, m=None):

@@ -320,7 +320,7 @@ LOADED = [
     ("rho", run_main(["rho", "--n", "12", "--word", "TST'"]), layers("exact_core", "congruence")),
     ("sigma", run_main(["sigma", "--g", "0,-1,1,0", "--A", "1,0,0,2"]), layers("exact_core", "hecke")),
     ("sm", run_main(["sm", "--m", "12"]), layers("exact_core", "hecke")),
-    ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core", "hecke")),
+    ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core")),
     ("hecke-vector", run_main(["hecke-vector", "--n", "6", "--m", "5"]), layers("exact_core", "congruence", "hecke")),
     ("check-three-term", run_main(["check-three-term", "--n", "2", "--m", "3"]), CHECKS_LOAD),
     ("check-laplace", run_main(["check-laplace"]), CHECKS_LOAD),
@@ -635,6 +635,21 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
     monkeypatch.setattr(cli, cap, size)
     with pytest.raises(AssertionError, match="was started"):
         main(argv)
+
+
+@pytest.mark.parametrize(
+    "command,target",
+    [("hecke-vector", "coset_table"), ("check-three-term", "coset_table"), ("verify-all", "run_all_checks")],
+)
+def test_a_level_below_one_exits_two_at_the_size_cap(capsys, monkeypatch, command, target):
+    # The size cap reads mu(n), which is defined for n >= 1 only.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("%s was started" % target)
+
+    monkeypatch.setattr(work_module(command, target), target, forbidden)
+    for n in ("0", "-4"):
+        assert main([command, "--n", n, "--m", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: level must be positive\n")
 
 
 def test_the_size_cap_counts_every_member_of_x_m(capsys, monkeypatch):

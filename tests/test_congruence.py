@@ -321,8 +321,11 @@ def test_index_example_level_two():
 
 
 def test_table_rejects_a_level_below_one():
-    with pytest.raises(ValueError, match="level must be positive"):
-        CosetTable(0)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="level must be positive"):
+            CosetTable(n)
+        with pytest.raises(ValueError, match="level must be positive"):
+            gamma0_index(n)
 
 
 def test_index_rejects_a_matrix_of_determinant_other_than_plus_minus_one():

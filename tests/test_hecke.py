@@ -336,10 +336,10 @@ def test_a_value_can_be_shared_since_no_attribute_can_be_assigned(make):
 
 
 def test_vector_hecke_rejects_a_chain_that_repeats_a_matrix(monkeypatch, fresh_caches):
-    from periodhecke import hecke
+    from periodhecke import exact_core
 
-    real = hecke.farey_chain
-    monkeypatch.setattr(hecke, "farey_chain", lambda a, b: real(a, b) * 2)
+    real = exact_core.farey_chain
+    monkeypatch.setattr(exact_core, "farey_chain", lambda a, b: real(a, b) * 2)
     with pytest.raises(ArithmeticError, match="twice"):
         vector_hecke(coset_table(2), 3)
 
@@ -363,7 +363,7 @@ def test_h_tilde_equals_the_s_m_enumeration(ms):
 
 
 def test_h_tilde_builds_one_formal_sum(monkeypatch):
-    from periodhecke import hecke
+    from periodhecke import exact_core
 
     built = []
 
@@ -374,9 +374,17 @@ def test_h_tilde_builds_one_formal_sum(monkeypatch):
             built.append(1)
             super().__init__(terms)
 
-    monkeypatch.setattr(hecke, "FormalSum", Counting)
+    monkeypatch.setattr(exact_core, "FormalSum", Counting)
     assert h_tilde(30) == FormalSum.from_matrices(gen_sm(30))
     assert len(built) == 1
+
+
+def test_hecke_h_tilde_is_the_exact_core_function():
+    # perfbench/tracing.py spans the scalar operator under the name
+    # hecke.h_tilde and rebinds every module global that is that object.
+    from periodhecke import exact_core, hecke
+
+    assert hecke.h_tilde is exact_core.h_tilde
 
 
 def reference_vector_hecke(table, m):
@@ -418,11 +426,11 @@ def test_vector_hecke_equals_the_reference_assembly(m):
 
 @pytest.mark.parametrize("n,m", [(1, 5), (30, 7), (114, 5)])
 def test_vector_hecke_builds_one_chain_per_member_of_x_m(monkeypatch, fresh_caches, n, m):
-    from periodhecke import hecke
+    from periodhecke import exact_core
 
     calls = []
-    real = hecke.farey_chain
-    monkeypatch.setattr(hecke, "farey_chain", lambda a, b: calls.append((a, b)) or real(a, b))
+    real = exact_core.farey_chain
+    monkeypatch.setattr(exact_core, "farey_chain", lambda a, b: calls.append((a, b)) or real(a, b))
     vector_hecke(coset_table(n), m)
     assert len(calls) == len(gen_xm(m))
 
