@@ -34,7 +34,7 @@ ETA_MIN_RATIO = 3.0
 
 def _parse_complex(text):
     try:
-        parts = [float(p) for p in text.split(",")]
+        parts = [cli.plain_number(p, float) for p in text.split(",")]
     except ValueError:
         parts = []
     if len(parts) not in (1, 2):
@@ -76,7 +76,7 @@ def cmd_check_three_term(args):
         _finite(worst, largest)
     if largest == 0:
         raise cli.UsageError("the Hecke image vanishes at --s %s, so there is nothing to check" % args.s)
-    tolerance = three_term_tolerance(s, zetas[0])
+    tolerance = three_term_tolerance(s)
     relative = worst / largest
     payload = {"max_residual": relative, "points": THREE_TERM_POINTS}
     lines = ["max_residual\t%r" % relative, "points\t%d" % THREE_TERM_POINTS]

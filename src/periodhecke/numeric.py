@@ -1,7 +1,8 @@
 """Floating-point verification layer: the weight-2s slash action, the
-three-term equation and its transfer-operator variant, the Laplace
-eigenfunction kernel, a finite-difference Laplacian, and quadrature of the
-Green's-type 1-form pairing two eigenfunctions.
+three-term equation and its transfer-operator variant (one helper
+evaluates their terms; the residuals and verify's scale fold them), the
+Laplace eigenfunction kernel, a finite-difference Laplacian, and
+quadrature of the Green's-type 1-form pairing two eigenfunctions.
 
 Powers are principal-branch throughout; the precondition checks keep every
 base strictly positive, so there is no branch ambiguity.  Scalar function
@@ -71,19 +72,19 @@ def cusp_solution(table, s):
     return psi
 
 
-def _defect(psi, table, zeta, word, other):
-    """Componentwise psi(zeta) - rho(T^-1) psi(zeta+1) - c rho(word) psi(x)
-    at zeta > 0, where (c, x) = other(zeta) is computed after the check:
-    x has a pole at zeta = 0 or zeta = -1."""
+def _residual_and_terms(psi, table, s, zeta, sign=0):
+    """The residual psi(zeta) - rho(T^-1) psi(zeta+1) - c rho(W) psi(x) at
+    zeta > 0 and the (psi(zeta), rho(T^-1) psi(zeta+1), rho(W) psi(x), c) it
+    folds, for the three-term equation (sign 0) or the transfer variant."""
     if not zeta > 0:
         raise ValueError("residuals are evaluated on (0, infinity)")
-    c, x = other(zeta)
-    perm_t = rho(table, _T_INVERSE)
-    perm_w = rho(table, word)
-    base = psi(zeta)
-    shifted = perm_t.apply(psi(zeta + 1))
-    moved = perm_w.apply(psi(x))
-    return [base[j] - shifted[j] - c * moved[j] for j in range(table.mu)]
+    if sign:
+        word, c, x = _TRANSFER_PERM_WORD, sign * zeta ** (-2 * s), (zeta + 1) / zeta
+    else:
+        word, c, x = _T_PRIME_INVERSE, (zeta + 1) ** (-2 * s), zeta / (zeta + 1)
+    base, shifted = psi(zeta), rho(table, _T_INVERSE).apply(psi(zeta + 1))
+    moved = rho(table, word).apply(psi(x))
+    return [a - b - c * v for a, b, v in zip(base, shifted, moved)], (base, shifted, moved, c)
 
 
 def three_term_residual(psi, table, s, zeta):
@@ -93,7 +94,7 @@ def three_term_residual(psi, table, s, zeta):
 
     Zero for period(-like) functions with spectral parameter s.
     """
-    return _defect(psi, table, zeta, _T_PRIME_INVERSE, lambda z: ((z + 1) ** (-2 * s), z / (z + 1)))
+    return _residual_and_terms(psi, table, s, zeta)[0]
 
 
 def transfer_residual(psi, table, s, sign, zeta):
@@ -104,7 +105,7 @@ def transfer_residual(psi, table, s, sign, zeta):
     with M = (0 1; 1 0); sign is +1 or -1."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _defect(psi, table, zeta, _TRANSFER_PERM_WORD, lambda z: (sign * z ** (-2 * s), (z + 1) / z))
+    return _residual_and_terms(psi, table, s, zeta, sign)[0]
 
 
 def r_zeta(z, zeta):

@@ -14,18 +14,15 @@ from .congruence import coset_table, gamma0_contains, rho
 from .exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T, T_PRIME, xgcd
 from .farey import chain_matrices, farey_sequence, left_neighbor, level
 from .hecke import gen_sm, gen_xm, h_tilde, in_xm, phi, sigma, vector_hecke
-from .numeric import (
-    constant_lift,
-    cusp_solution,
-    hecke_image,
-    three_term_residual,
-    transfer_residual,
-)
+from .numeric import _residual_and_terms, constant_lift, cusp_solution, hecke_image, transfer_residual
 
 __all__ = ["run_all_checks", "residual_and_scale", "sample_points", "three_term_tolerance"]
 
 RELATIVE_TOLERANCE = 1e-12
 VERIFY_POINTS = 25
+# The least sample point, where three_term_tolerance bounds a misplaced
+# column's relative residual at negative s.
+FIRST_POINT = 0.1
 
 # rho without its memo, for the random words the checks use once, so that
 # they do not evict the permutations of the residual jobs that share it.
@@ -51,10 +48,10 @@ def _random_gamma0(rng, n):
 
 
 def sample_points(points):
-    """`points` evenly spaced abscissae from 0.1 to 10 for the residual checks."""
+    """`points` evenly spaced abscissae from FIRST_POINT to 10 for the residual checks."""
     if points < 1:
         raise ValueError("residual checks need at least one sample point")
-    return [0.1 + 9.9 * k / max(1, points - 1) for k in range(points)]
+    return [FIRST_POINT + (10 - FIRST_POINT) * k / max(1, points - 1) for k in range(points)]
 
 
 def _max_abs(current, values):
@@ -73,35 +70,26 @@ def residual_and_scale(psi, table, s, zetas):
     rho psi(zeta+1) and (zeta+1)^(-2s) rho psi(zeta/(zeta+1)), which the
     residual is measured against; each is NaN if any value it folds is NaN.
 
-    psi is called three times per point: the scale reads the values that
-    the residual evaluates, and one point's values are held at a time.  A
-    permutation keeps the largest |.|, so the scale applies no rho."""
-    held = {}
-
-    def recorded(z):
-        held[z] = psi(z)
-        return held[z]
-
+    Both fold the residual and the three terms that numeric evaluates at a
+    point, so psi is called three times per point and one point's values
+    are held at a time."""
     worst = largest = None
     for zeta in zetas:
-        held.clear()
-        worst = _max_abs(worst, three_term_residual(recorded, table, s, zeta))
-        weight = (zeta + 1) ** (-2 * s)
-        terms = [*held[zeta], *held[zeta + 1], *(weight * x for x in held[zeta / (zeta + 1)])]
-        largest = _max_abs(largest, terms)
+        residual, (base, shifted, moved, c) = _residual_and_terms(psi, table, s, zeta)
+        worst = _max_abs(worst, residual)
+        largest = _max_abs(largest, [*base, *shifted, *(c * v for v in moved)])
     return worst, largest
 
 
-def three_term_tolerance(s, zeta):
+def three_term_tolerance(s):
     """The relative tolerance of the three-term checks at s,
     RELATIVE_TOLERANCE * max(1, |s|): the rounding error of the weights
     (z+1)^(-2s) grows with |s|.  Below Re s = 0 a misplaced column's
-    relative residual can fall like (1 + zeta)^(2 Re s), zeta the least
-    sample point (2.6e-9 for a rotated T_3 at level 2 and s = -100), so
-    where 20 times the tolerance exceeds that factor no check could fail
-    it, and ValueError is raised."""
+    relative residual can fall like (1 + FIRST_POINT)^(2 Re s) (2.6e-9 for
+    a rotated T_3 at level 2 and s = -100), so where 20 times the tolerance
+    exceeds that factor no check could fail it, and ValueError is raised."""
     tolerance = RELATIVE_TOLERANCE * max(1.0, abs(s))
-    if 20 * tolerance > (1 + zeta) ** (2 * min(0.0, s.real)):
+    if 20 * tolerance > (1 + FIRST_POINT) ** (2 * min(0.0, s.real)):
         raise ValueError(
             "at s = %s the three-term tolerance %.1e cannot tell a misplaced column from rounding" % (s, tolerance)
         )
@@ -210,23 +198,16 @@ def run_all_checks(n, m, s=1.0):
         )
 
     zetas = sample_points(VERIFY_POINTS)
-    worst_in, largest_in = residual_and_scale(psi, table, s, zetas)
-    worst_out, largest_out = residual_and_scale(hecke_image(op, psi, s), table, s, zetas)
-    tolerance = three_term_tolerance(s, zetas[0])
-    checks.append(
-        (
-            "three-term-input",
-            largest_in > 0 and worst_in <= tolerance * largest_in,
-            "max residual %.3e, largest term %.3e (relative tolerance %.1e)" % (worst_in, largest_in, tolerance),
-        )
-    )
-    checks.append(
-        (
-            "three-term-preserved",
-            largest_out > 0 and worst_out <= tolerance * largest_out,
-            "max residual %.3e, largest term %.3e (relative tolerance %.1e)" % (worst_out, largest_out, tolerance),
-        )
-    )
+    # Both residuals are measured before the tolerance is read: where the
+    # weights overflow, that overflow is reported, not the tolerance's refusal.
+    measured = [
+        (name, *residual_and_scale(f, table, s, zetas))
+        for name, f in (("three-term-input", psi), ("three-term-preserved", hecke_image(op, psi, s)))
+    ]
+    tolerance = three_term_tolerance(s)
+    for name, worst, largest in measured:
+        detail = "max residual %.3e, largest term %.3e (relative tolerance %.1e)" % (worst, largest, tolerance)
+        checks.append((name, largest > 0 and worst <= tolerance * largest, detail))
 
     if n == 1:
         # 1/z solves the plus sign of the transfer variant at s = 1 only.

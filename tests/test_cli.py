@@ -155,8 +155,8 @@ def test_usage_errors_exit_two(capsys):
             assert "Hecke index must be positive" in captured.err
 
 
-# Arguments that int() reads but that are not plain integers, and what
-# each run writes to stderr.
+# Arguments that int() or float() reads but that are not plain numbers,
+# and what each run writes to stderr.
 NOT_PLAIN_INTEGERS = [
     (["lns", "--q=\u0663/7"], "malformed rational '\u0663/7'"),
     (["lns", "--q=1_000/3"], "malformed rational '1_000/3'"),
@@ -171,16 +171,45 @@ NOT_PLAIN_INTEGERS = [
     (["sigma", "--g", "1_0,0,0,1", "--A", "1,0,0,2"], "matrix entries must be integers"),
     (["sigma", "--g", "1,0,0,1", "--A", "1,0,0,2.0"], "matrix entries must be integers"),
     (["sigma", "--g", "1,0,,1", "--A", "1,0,0,2"], "matrix entries must be integers"),
+    (["verify-all", "--n", "2", "--m", "3", "--s", "\u0663"], "spectral parameter must be given as re or re,im"),
+    (["check-three-term", "--n", "2", "--m", "3", "--s", "1_0"], "spectral parameter must be given as re or re,im"),
+    (["check-laplace", "--s", "0.9,\u0661"], "spectral parameter must be given as re or re,im"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", NOT_PLAIN_INTEGERS, ids=[" ".join(argv) for argv, _ in NOT_PLAIN_INTEGERS])
 def test_only_plain_integers_parse(capsys, argv, message):
-    # int() alone would also read other Unicode digits and underscores.
+    # int() and float() alone would also read other Unicode digits and underscores.
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+# --n and --m values that int() reads but that are not plain integers,
+# and the last line argparse writes to stderr for each.
+NOT_PLAIN_FLAG_INTEGERS = [
+    (["cosets", "--n", "\u0663"], "periodhecke cosets: error: argument --n: invalid int value: '\u0663'"),
+    (["cosets", "--n", "1_0"], "periodhecke cosets: error: argument --n: invalid int value: '1_0'"),
+    (
+        ["hecke-vector", "--n", "\uff12", "--m", "3"],
+        "periodhecke hecke-vector: error: argument --n: invalid int value: '\uff12'",
+    ),
+    (["hecke-scalar", "--m", "\uff16"], "periodhecke hecke-scalar: error: argument --m: invalid int value: '\uff16'"),
+    (["cosets", "--n", "abc"], "periodhecke cosets: error: argument --n: invalid int value: 'abc'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,last_line", NOT_PLAIN_FLAG_INTEGERS, ids=[" ".join(argv) for argv, _ in NOT_PLAIN_FLAG_INTEGERS]
+)
+def test_only_plain_integers_parse_as_n_and_m(capsys, argv, last_line):
+    # The message stays argparse's own for type=int, also for what int()
+    # itself refuses.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == last_line
 
 
 PLAIN_INTEGERS = [
@@ -188,6 +217,7 @@ PLAIN_INTEGERS = [
     (["lns", "--q=+06/014"], '["-1/0","0/1","1/3","2/5","3/7"]'),
     (["lns", "--q=3/-7"], '["-1/0","-1/1","-1/2","-3/7"]'),
     (["sigma", "--g", " 1, 1,0 ,+1", "--A", "4,0,0,2"], '{"sigma":[[4,0],[0,2]]}'),
+    (["cosets", "--n", " +02 "], '{"mu":3,"reps":[[[1,0],[0,1]],[[-1,-1],[1,0]],[[-1,0],[-1,-1]]]}'),
 ]
 
 

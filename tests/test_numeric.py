@@ -116,6 +116,34 @@ def test_transfer_residual_signs():
         transfer_residual(psi, table, 1, 2, 1.0)
 
 
+def written_out_residual(psi, table, s, zeta, sign=None):
+    """The three-term residual (sign None) or its transfer variant, written
+    out component by component; component j of rho(g) v is v[image[j]]."""
+    shift = rho(table, T.inverse()).image
+    if sign is None:
+        c, x, word = (zeta + 1) ** (-2 * s), zeta / (zeta + 1), T_PRIME.inverse()
+    else:
+        c, x, word = sign * zeta ** (-2 * s), (zeta + 1) / zeta, IntMatrix2(0, 1, 1, 0) * T_PRIME.inverse()
+    moved = rho(table, word).image
+    base, ahead, behind = psi(zeta), psi(zeta + 1), psi(x)
+    return [base[j] - ahead[shift[j]] - c * behind[moved[j]] for j in range(table.mu)]
+
+
+@pytest.mark.parametrize("s", [1, 2.5, -0.5, 0.5 + 3j], ids=["s=1", "s=2.5", "s=-0.5", "s=0.5+3i"])
+@pytest.mark.parametrize("n", [1, 6, 13])
+def test_residuals_equal_the_written_out_formula_bit_for_bit(n, s):
+    # Compared with ==: the residuals must round exactly as the formula
+    # does, for the reference solution (residual near 0) and for a handle
+    # that solves nothing (residual of order 1, distinct per component).
+    table = coset_table(n)
+    for psi in (cusp_solution(table, s), lambda z: [(j + 1) / (z + j) for j in range(table.mu)]):
+        for zeta in (0.3, 1.0, 4.7):
+            assert three_term_residual(psi, table, s, zeta) == written_out_residual(psi, table, s, zeta)
+            for sign in (1, -1):
+                expected = written_out_residual(psi, table, s, zeta, sign)
+                assert transfer_residual(psi, table, s, sign, zeta) == expected
+
+
 def test_r_zeta_values():
     assert r_zeta(1j, 0.0) == pytest.approx(1.0)
     assert r_zeta(2j, 1.0) == pytest.approx(2 / 5)

@@ -102,7 +102,7 @@ def test_the_scaled_tolerance_separates_the_operator_from_a_rotated_one(n, m):
             worst, largest = residual_and_scale(hecke_image(op, psi, s), table, s, zetas)
         except OverflowError:
             continue
-        tolerance = three_term_tolerance(s, zetas[0])
+        tolerance = three_term_tolerance(s)
         assert worst <= tolerance * largest / 10, s
         if table.mu > 1:
             worst, largest = residual_and_scale(hecke_image(rotated(table, m), psi, s), table, s, zetas)
@@ -112,12 +112,12 @@ def test_the_scaled_tolerance_separates_the_operator_from_a_rotated_one(n, m):
 
 
 def test_the_tolerance_scales_with_abs_s_and_refuses_where_it_cannot_separate():
-    assert three_term_tolerance(1, 0.1) == three_term_tolerance(0.6 + 0.8j, 0.1) == verify.RELATIVE_TOLERANCE
-    assert three_term_tolerance(0.5 + 1e7j, 0.1) == pytest.approx(1e7 * verify.RELATIVE_TOLERANCE)
-    assert three_term_tolerance(-100, 0.1) == pytest.approx(100 * verify.RELATIVE_TOLERANCE)
+    assert three_term_tolerance(1) == three_term_tolerance(0.6 + 0.8j) == verify.RELATIVE_TOLERANCE
+    assert three_term_tolerance(0.5 + 1e7j) == pytest.approx(1e7 * verify.RELATIVE_TOLERANCE)
+    assert three_term_tolerance(-100) == pytest.approx(100 * verify.RELATIVE_TOLERANCE)
     for s in (-110, 0.5 + 1e11j, -100 + 1e7j):
         with pytest.raises(ValueError, match="cannot tell a misplaced column from rounding"):
-            three_term_tolerance(s, 0.1)
+            three_term_tolerance(s)
 
 
 def test_transfer_check_keeps_its_s_equal_one_reference():
