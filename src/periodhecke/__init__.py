@@ -6,7 +6,8 @@ the public names: each of the five library modules sets its `__all__`
 from its own entry.  It is resolved lazily (PEP 562): importing the
 package or one of its submodules loads nothing else, and a public name
 loads its home module on first access and is then cached here.  So a CLI
-run that never touches the numeric layer never compiles it.
+run that never touches the numeric layer never compiles it.  Every number
+on the command line is read by `_plain_number` below, which loads no layer.
 """
 
 import importlib
@@ -38,6 +39,18 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
+
+
+def _plain_number(text, read=int):
+    """read(text) for ASCII text without "_": int() and float() alone also
+    read other Unicode digits and spaces, and "_" between digits.  Named
+    int, so that argparse's errors for --n and --m read as for type=int."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("not a plain number: %r" % (text,))
+    return read(text)
+
+
+_plain_number.__name__ = "int"
 
 
 def __getattr__(name):

@@ -16,7 +16,7 @@ import math
 import sys
 from contextlib import contextmanager
 
-from . import cli
+from . import _plain_number, cli
 from .congruence import coset_table
 from .hecke import vector_hecke
 from .numeric import ETA_FD_STEP, cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
@@ -34,7 +34,7 @@ ETA_MIN_RATIO = 3.0
 
 def _parse_complex(text):
     try:
-        parts = [cli.plain_number(p, float) for p in text.split(",")]
+        parts = [_plain_number(p, float) for p in text.split(",")]
     except ValueError:
         parts = []
     if len(parts) not in (1, 2):

@@ -19,6 +19,8 @@ import argparse
 import json
 import sys
 
+from . import _plain_number
+
 # Largest accepted levels and Hecke indices, so that no command runs for
 # minutes.  `farey --n` lists about 1.2 n^2 rationals (3 MB of JSON at 500).
 # A chain from --q takes at most level(q) + 1 steps, so the level
@@ -45,19 +47,6 @@ VERIFY_SIZE_CAP = 20000
 
 class UsageError(ValueError):
     pass
-
-
-def plain_number(text, read=int):
-    """read(text) for ASCII text without an underscore, the grammar of
-    exact_core._integers: int() and float() also read other Unicode digits
-    and underscores between digits.  It reads --n and --m under the name
-    int, so that argparse's errors read as for type=int."""
-    if not text.isascii() or "_" in text:
-        raise ValueError("not a plain number: %r" % (text,))
-    return read(text)
-
-
-plain_number.__name__ = "int"
 
 
 def _parse_rational(text):
@@ -300,7 +289,7 @@ def build_parser(command=None):
     Otherwise (help, no command, an unknown one) every subparser is built
     under the default metavar, since the errors for a missing or unknown
     command name the action by its dest."""
-    n_flag = m_flag = {"type": plain_number, "required": True}
+    n_flag = m_flag = {"type": _plain_number, "required": True}
     subcommands = {
         "farey": (_cmd_farey, {"n": n_flag}),
         "lns": (_cmd_lns, {"q": {"required": True}}),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import total_ordering
 
-from . import _EXPORTS
+from . import _EXPORTS, _plain_number
 
 __all__ = list(_EXPORTS["exact_core"])
 
@@ -101,19 +101,6 @@ class Frozen:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
 
-def _integers(parts, message):
-    """Each part, with its surrounding whitespace stripped, as an int;
-    ValueError(message) unless every one is a plain integer: ASCII digits
-    after an optional sign.  int() alone would also read other Unicode
-    digits and underscores."""
-    parts = [part.strip() for part in parts]
-    for part in parts:
-        digits = part[1:] if part[:1] in ("+", "-") else part
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(message)
-    return [int(part) for part in parts]
-
-
 @total_ordering
 class ExtendedRational(Frozen):
     """A rational num/den in lowest terms with den >= 0, including the two
@@ -139,10 +126,12 @@ class ExtendedRational(Frozen):
     @classmethod
     def from_string(cls, text):
         """Parse 'p/q' or a bare integer 'p'."""
-        parts = text.strip().split("/")
-        if len(parts) > 2:
-            raise ValueError("malformed rational %r" % (text,))
-        return cls(*_integers(parts, "malformed rational %r" % (text,)))
+        parts = text.split("/")
+        try:
+            num, den = map(_plain_number, parts) if len(parts) == 2 else (_plain_number(text), 1)
+        except ValueError:
+            raise ValueError("malformed rational %r" % (text,)) from None
+        return cls(num, den)
 
     def __eq__(self, other):
         if not isinstance(other, ExtendedRational):
@@ -201,7 +190,10 @@ class IntMatrix2(Frozen):
         parts = text.split(",")
         if len(parts) != 4:
             raise ValueError("matrix must be given as a,b,c,d")
-        return cls(*_integers(parts, "matrix entries must be integers"))
+        try:
+            return cls(*map(_plain_number, parts))
+        except ValueError:
+            raise ValueError("matrix entries must be integers") from None
 
     @classmethod
     def from_rows(cls, rows):

@@ -23,6 +23,9 @@ VERIFY_POINTS = 25
 # The least sample point, where three_term_tolerance bounds a misplaced
 # column's relative residual at negative s.
 FIRST_POINT = 0.1
+# The least |s| the three-term checks accept: as s tends to 0 the reference
+# solution tends to a constant, and ever more misplaced columns pass.
+SMALLEST_S = 1e-9
 
 # rho without its memo, for the random words the checks use once, so that
 # they do not evict the permutations of the residual jobs that share it.
@@ -87,9 +90,10 @@ def three_term_tolerance(s):
     (z+1)^(-2s) grows with |s|.  Below Re s = 0 a misplaced column's
     relative residual can fall like (1 + FIRST_POINT)^(2 Re s) (2.6e-9 for
     a rotated T_3 at level 2 and s = -100), so where 20 times the tolerance
-    exceeds that factor no check could fail it, and ValueError is raised."""
+    exceeds that factor no check could fail it, and ValueError is raised,
+    as it is for |s| < SMALLEST_S."""
     tolerance = RELATIVE_TOLERANCE * max(1.0, abs(s))
-    if 20 * tolerance > (1 + FIRST_POINT) ** (2 * min(0.0, s.real)):
+    if abs(s) < SMALLEST_S or 20 * tolerance > (1 + FIRST_POINT) ** (2 * min(0.0, s.real)):
         raise ValueError(
             "at s = %s the three-term tolerance %.1e cannot tell a misplaced column from rounding" % (s, tolerance)
         )

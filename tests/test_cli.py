@@ -147,12 +147,18 @@ def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["farey"]) == 2  # missing required flag
     capsys.readouterr()
-    for command in ("hecke-vector", "check-three-term", "verify-all"):
+    for command, message in [
+        (["hecke-vector", "--n", "2"], "Hecke index must be positive"),
+        (["check-three-term", "--n", "2"], "Hecke index must be positive"),
+        (["verify-all", "--n", "2"], "Hecke index must be positive"),
+        (["hecke-scalar"], "Hecke index must be positive"),
+        (["sm"], "determinant must be positive"),
+    ]:
         for m in ("0", "-4"):
-            assert main([command, "--n", "2", "--m", m]) == 2
+            assert main(command + ["--m", m]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "Hecke index must be positive" in captured.err
+            assert message in captured.err
 
 
 # Arguments that int() or float() reads but that are not plain numbers,
@@ -167,10 +173,17 @@ NOT_PLAIN_INTEGERS = [
     (["lns", "--q", "0x10/3"], "malformed rational '0x10/3'"),
     (["lns", "--q", "++3/7"], "malformed rational '++3/7'"),
     (["mq", "--q", "\uff13/7"], "malformed rational '\uff13/7'"),
+    # Only the ASCII whitespace that int() skips may surround a number, not
+    # a no-break space, a line separator, a file separator or next-line.
+    (["lns", "--q", "\u00a01/2"], "malformed rational '\\xa01/2'"),
+    (["mq", "--q", "1/2\u2028"], "malformed rational '1/2\\u2028'"),
+    (["lns", "--q", "\x1c1/2"], "malformed rational '\\x1c1/2'"),
     (["sigma", "--g", "1,0,0,1", "--A", "\u0664,0,0,2"], "matrix entries must be integers"),
     (["sigma", "--g", "1_0,0,0,1", "--A", "1,0,0,2"], "matrix entries must be integers"),
     (["sigma", "--g", "1,0,0,1", "--A", "1,0,0,2.0"], "matrix entries must be integers"),
     (["sigma", "--g", "1,0,,1", "--A", "1,0,0,2"], "matrix entries must be integers"),
+    (["sigma", "--g", "\u00a01,0,0,1", "--A", "1,0,0,2"], "matrix entries must be integers"),
+    (["sigma", "--g", "1,0,0,1", "--A", "1,0,0,\x852"], "matrix entries must be integers"),
     (["verify-all", "--n", "2", "--m", "3", "--s", "\u0663"], "spectral parameter must be given as re or re,im"),
     (["check-three-term", "--n", "2", "--m", "3", "--s", "1_0"], "spectral parameter must be given as re or re,im"),
     (["check-laplace", "--s", "0.9,\u0661"], "spectral parameter must be given as re or re,im"),
@@ -241,6 +254,22 @@ MUTANTS = [
 ]
 
 
+def test_a_vanishing_hecke_image_exits_two(capsys, monkeypatch):
+    # With no term in any cell the image is 0, and a relative residual
+    # would divide by 0.
+    from periodhecke import checks
+
+    def unmapped(table, m):
+        op = vector_hecke(table, m)
+        return HeckeOperatorMatrix(op.n, op.m, [(mat, (None,) * op.mu) for mat, _ in op.columns])
+
+    monkeypatch.setattr(checks, "vector_hecke", unmapped)
+    assert main(["check-three-term", "--n", "2", "--m", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the Hecke image vanishes at --s 1,0, so there is nothing to check\n"
+
+
 def test_check_failure_exits_one(capsys, monkeypatch):
     # Every check can fail at its fixed settings: each passes as it is and
     # exits 1, still printing a valid payload, with its mutant patched in
@@ -282,6 +311,10 @@ def test_a_correct_operator_passes_at_large_s_and_a_rotated_one_fails(capsys, mo
     [
         ["check-three-term", "--n", "2", "--m", "3", "--s", "0.5,1e11"],
         ["verify-all", "--n", "3", "--m", "2", "--s=-110"],
+        # Near s = 0 the reference solution is nearly constant: at s = 0 a
+        # swap of rows 0 and 1 read max_residual 0.0 here.
+        ["check-three-term", "--n", "2", "--m", "2", "--s", "0"],
+        ["verify-all", "--n", "2", "--m", "3", "--s", "1e-12"],
     ],
     ids=" ".join,
 )

@@ -326,6 +326,9 @@ def test_table_rejects_a_level_below_one():
             CosetTable(n)
         with pytest.raises(ValueError, match="level must be positive"):
             gamma0_index(n)
+        for m, k in ((n, 3), (3, n)):
+            with pytest.raises(ValueError, match="levels must be positive"):
+                coset_projection(m, k)
 
 
 def test_index_rejects_a_matrix_of_determinant_other_than_plus_minus_one():
@@ -420,6 +423,9 @@ def test_permutation_matrix_api():
     assert p.rows() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     with pytest.raises(ValueError):
         PermutationMatrix([0, 0, 1])
+    for vector in (["a", "b"], ["a", "b", "c", "d"]):
+        with pytest.raises(ValueError, match="vector length %d != 3" % len(vector)):
+            p.apply(vector)
 
 
 def test_rho_accepts_determinant_minus_one():

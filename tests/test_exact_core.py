@@ -246,6 +246,16 @@ def test_formal_sum_merging_and_canonical_order():
         for m in shuffled:
             total = total + FormalSum.from_matrices([m])
         assert total.terms == reference.terms
+    with pytest.raises(TypeError, match="must be IntMatrix2"):
+        FormalSum([(1, "x")])
+
+
+def test_formal_sum_adds_and_subtracts_single_matrices():
+    x = FormalSum([(2, T), (-1, S)])
+    assert x + I == I + x == FormalSum([(2, T), (-1, S), (1, I)])
+    assert -x == FormalSum([(-2, T), (1, S)])
+    assert x - T == FormalSum([(1, T), (-1, S)])
+    assert x - x == FormalSum()
 
 
 def _random_sum(rng, det_choices):

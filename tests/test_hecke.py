@@ -71,6 +71,8 @@ def test_xm_examples():
         IntMatrix2(2, 0, 0, 1),
     ]
     assert len(gen_xm(6)) == 12
+    with pytest.raises(ValueError, match="determinant must be positive"):
+        gen_xm(0)
 
 
 def test_xm_size_is_divisor_sum():
@@ -314,6 +316,8 @@ def test_hecke_operator_matrix_rejects_bad_column_maps():
         HeckeOperatorMatrix(1, 2, [[[IntMatrix2(1, 0, 0, 2), IntMatrix2(1, 0, 0, 2)]]])
     with pytest.raises(ValueError, match="entry conditions"):
         HeckeOperatorMatrix(1, 2, [(IntMatrix2(1, 0, 1, 2), (0,))])  # a > c fails
+    with pytest.raises(ValueError, match="at least one matrix"):
+        HeckeOperatorMatrix(1, 2, [])
 
 
 @pytest.mark.parametrize(

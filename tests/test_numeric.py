@@ -236,6 +236,8 @@ def test_eta_rejects_paths_near_real_axis():
         eta_line_integral(u, u, [0.5 + 1e-9j, 1 + 1j], steps=4)
     with pytest.raises(ValueError):
         eta_line_integral(u, u, [1 + 1j], steps=4)
+    with pytest.raises(ValueError, match="steps must be positive"):
+        eta_line_integral(u, u, [1 + 1j, 2 + 1j], steps=0)
 
 
 def test_apply_hecke_identity_operator():

@@ -32,6 +32,22 @@ def test_rotated_column_maps_fail_run_all_checks(monkeypatch, n, m):
     assert "three-term-preserved" in failed(run_all_checks(n, m, s=0.5 + 3j))
 
 
+def swapped_last_rows(table, m):
+    """The operator with rows mu - 2 and mu - 1 of every column map swapped."""
+    op = vector_hecke(table, m)
+    columns = [(mat, image[:-2] + image[:-3:-1]) for mat, image in op.columns]
+    return HeckeOperatorMatrix(op.n, op.m, columns)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_a_swap_of_the_last_two_rows_at_a_prime_level_fails_the_coset_records(monkeypatch, p, m):
+    # At a prime level p the three-term checks at s = 1, 2.5 and 0.5+3i all
+    # passed this swap of rows p - 1 and p; the records of phi catch it.
+    monkeypatch.setattr(verify, "vector_hecke", swapped_last_rows)
+    assert "coset-record-membership" in failed(run_all_checks(p, m))
+
+
 @pytest.mark.parametrize("n,m", [(2, 3), (4, 2), (6, 5), (9, 6), (12, 4)])
 def test_rotated_column_maps_fail_the_coset_records(monkeypatch, n, m):
     # The records of phi fix the column of every (B, j), including rows
@@ -115,7 +131,7 @@ def test_the_tolerance_scales_with_abs_s_and_refuses_where_it_cannot_separate():
     assert three_term_tolerance(1) == three_term_tolerance(0.6 + 0.8j) == verify.RELATIVE_TOLERANCE
     assert three_term_tolerance(0.5 + 1e7j) == pytest.approx(1e7 * verify.RELATIVE_TOLERANCE)
     assert three_term_tolerance(-100) == pytest.approx(100 * verify.RELATIVE_TOLERANCE)
-    for s in (-110, 0.5 + 1e11j, -100 + 1e7j):
+    for s in (-110, 0.5 + 1e11j, -100 + 1e7j, 0, 5e-10j):
         with pytest.raises(ValueError, match="cannot tell a misplaced column from rounding"):
             three_term_tolerance(s)
 
