@@ -20,7 +20,7 @@ from . import _plain_number, cli
 from .congruence import coset_table
 from .hecke import vector_hecke
 from .numeric import ETA_FD_STEP, cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
-from .verify import residual_and_scale, run_all_checks, sample_points, three_term_tolerance
+from .verify import SMALLEST_S, residual_and_scale, run_all_checks, sample_points, three_term_tolerance
 
 # The fixed settings of the check commands.
 THREE_TERM_POINTS = 100
@@ -69,6 +69,8 @@ def cmd_check_three_term(args):
     n, m = cli.operator_size_capped(args, cli.THREE_TERM_INDEX_CAP, cli.THREE_TERM_SIZE_CAP)
     table = coset_table(n)
     psi = cusp_solution(table, s)
+    if abs(s) < SMALLEST_S:  # no weight can overflow at such s, so refuse it before any work
+        three_term_tolerance(s)
     op = vector_hecke(table, m)
     zetas = sample_points(THREE_TERM_POINTS)
     with _float_range(args.s):

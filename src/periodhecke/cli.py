@@ -180,21 +180,6 @@ def _tsv_operator(op):
             yield "%d\t%d\t%s" % (j, i, tail)
 
 
-def _render(json_of, tsv_of, fmt):
-    """Every _cmd_* returns (json_of, tsv_of, code): json_of() returns the
-    JSON text and tsv_of() the TSV lines, each a str.  Only the requested
-    one is called."""
-    return json_of() if fmt == "json" else "\n".join(tsv_of())
-
-
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-
-
 def _cmd_farey(args):
     n = _capped(args.n, FAREY_LEVEL_CAP)
     from .farey import farey_sequence
@@ -331,8 +316,16 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        # Every _cmd_* returns (json_of, tsv_of, code): json_of() returns the
+        # JSON text and tsv_of() the TSV lines, each a str; only the
+        # requested one is called.
         json_of, tsv_of, code = args.func(args)
-        _emit(_render(json_of, tsv_of, args.format), args.out)
+        text = json_of() if args.format == "json" else "\n".join(tsv_of())
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

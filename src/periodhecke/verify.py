@@ -122,6 +122,8 @@ def run_all_checks(n, m, s=1.0):
     rng = random.Random(0)
     table = coset_table(n)
     psi = cusp_solution(table, s)
+    if abs(s) < SMALLEST_S:  # no weight can overflow at such s, so refuse it before any work
+        three_term_tolerance(s)
     checks = []
 
     # The divisor sum is counted here without divisors(), which gen_xm uses.

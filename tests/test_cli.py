@@ -13,8 +13,10 @@ from periodhecke.congruence import gamma0_index
 from periodhecke.congruence import coset_table
 from periodhecke.exact_core import ExtendedRational, FormalSum, S, T, divisors
 from periodhecke.farey import m_of_q
-from periodhecke.hecke import HeckeOperatorMatrix, gen_sm, h_tilde, vector_hecke
+from periodhecke.hecke import gen_sm, h_tilde, vector_hecke
 from periodhecke.numeric import eta_line_integral, laplace_fd
+
+from mutants import forbidden, rotated, unmapped
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -121,12 +123,28 @@ def test_tsv_variant_flattens_row_major(capsys):
     assert rows == [["1", "1", "0", "0", "1"], ["1", "2", "-1", "1", "0"]]
 
 
+# Runs whose --out file must hold exactly the bytes their stdout gets.
+OUT_RUNS = [
+    ["hecke-vector", "--n", "6", "--m", "5"],
+    ["hecke-scalar", "--m", "6"],
+    ["cosets", "--n", "12"],
+    ["check-three-term", "--n", "2", "--m", "3"],
+]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "farey.json"
     code, out = run_cli(capsys, ["farey", "--n", "1", "--out", str(target)])
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text()) == ["-1/0", "-1/1", "0/1", "1/1", "1/0"]
+    for argv in OUT_RUNS:
+        for fmt in ("json", "tsv"):
+            run = argv + ["--format", fmt]
+            code, out = run_cli(capsys, run)
+            assert code == 0
+            assert run_cli(capsys, run + ["--out", str(target)]) == (0, "")
+            assert target.read_bytes() == out.encode("utf-8"), run
 
 
 @pytest.mark.parametrize("target", ["", "missing/farey.json"], ids=["directory", "missing-directory"])
@@ -239,14 +257,9 @@ def test_a_plain_integer_may_carry_a_sign_leading_zeros_and_whitespace(capsys, a
     assert run_cli(capsys, argv) == (0, expected + "\n")
 
 
-def rotated_vector_hecke(table, m):
-    op = vector_hecke(table, m)
-    return HeckeOperatorMatrix(op.n, op.m, [(mat, image[1:] + image[:1]) for mat, image in op.columns])
-
-
 # One broken ingredient per check command, with the arguments it runs at.
 MUTANTS = [
-    (["check-three-term", "--n", "2", "--m", "3"], "vector_hecke", rotated_vector_hecke),
+    (["check-three-term", "--n", "2", "--m", "3"], "vector_hecke", rotated),
     # An error of order h: the observed order drops to about 1.
     (["check-laplace"], "laplace_fd", lambda f, z, h: laplace_fd(f, z, h) + h),
     # A constant offset: successive magnitudes no longer shrink.
@@ -258,10 +271,6 @@ def test_a_vanishing_hecke_image_exits_two(capsys, monkeypatch):
     # With no term in any cell the image is 0, and a relative residual
     # would divide by 0.
     from periodhecke import checks
-
-    def unmapped(table, m):
-        op = vector_hecke(table, m)
-        return HeckeOperatorMatrix(op.n, op.m, [(mat, (None,) * op.mu) for mat, _ in op.columns])
 
     monkeypatch.setattr(checks, "vector_hecke", unmapped)
     assert main(["check-three-term", "--n", "2", "--m", "3"]) == 2
@@ -300,7 +309,7 @@ def test_a_correct_operator_passes_at_large_s_and_a_rotated_one_fails(capsys, mo
 
     assert main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(verify if argv[0] == "verify-all" else checks, "vector_hecke", rotated_vector_hecke)
+    monkeypatch.setattr(verify if argv[0] == "verify-all" else checks, "vector_hecke", rotated)
     assert main(argv) == 1
     if argv[0] == "verify-all":
         assert "three-term-preserved\tFAIL\t" in capsys.readouterr().out
@@ -318,7 +327,14 @@ def test_a_correct_operator_passes_at_large_s_and_a_rotated_one_fails(capsys, mo
     ],
     ids=" ".join,
 )
-def test_an_s_where_the_tolerance_cannot_fail_a_misplaced_column_exits_two(capsys, argv):
+def test_an_s_where_the_tolerance_cannot_fail_a_misplaced_column_exits_two(capsys, monkeypatch, argv):
+    from periodhecke import checks, verify
+
+    # |s| < SMALLEST_S, where no weight can overflow, is refused before the
+    # operator is built; the other refusals follow an overflow check.
+    if abs(checks._parse_complex(argv[-1].split("=")[-1])) < verify.SMALLEST_S:
+        for module in (checks, verify):
+            monkeypatch.setattr(module, "vector_hecke", forbidden("vector_hecke"))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -652,10 +668,7 @@ def work_module(command, target):
 def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, cap):
     from periodhecke import cli
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("%s was started" % target)
-
-    monkeypatch.setattr(work_module(command, target), target, forbidden)
+    monkeypatch.setattr(work_module(command, target), target, forbidden(target))
     limit = getattr(cli, cap)
     # A level cap is exceeded at --m 2, an index cap at level 1.
     flag, other = ("--m", ["--n", "1"]) if "INDEX" in cap else ("--n", ["--m", "2"])
@@ -681,10 +694,7 @@ def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, comm
 def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, cap, label, count):
     from periodhecke import cli
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("%s was started" % target)
-
-    monkeypatch.setattr(work_module(command, target), target, forbidden)
+    monkeypatch.setattr(work_module(command, target), target, forbidden(target))
     argv = [command, "--n", "400", "--m", "61"]
     size = 720 * count  # mu(400) * sigma(61) or |S_61|, each within its own cap
     assert size > getattr(cli, cap)
@@ -706,10 +716,7 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
 )
 def test_a_level_below_one_exits_two_at_the_size_cap(capsys, monkeypatch, command, target):
     # The size cap reads mu(n), which is defined for n >= 1 only.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("%s was started" % target)
-
-    monkeypatch.setattr(work_module(command, target), target, forbidden)
+    monkeypatch.setattr(work_module(command, target), target, forbidden(target))
     for n in ("0", "-4"):
         assert main([command, "--n", n, "--m", "2"]) == 2
         assert capsys.readouterr() == ("", "error: level must be positive\n")
@@ -720,11 +727,8 @@ def test_the_size_cap_counts_every_member_of_x_m(capsys, monkeypatch):
     # visited: the chain of each member of X_m counts with its length.
     from periodhecke import checks, cli
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("work was started")
-
-    monkeypatch.setattr(checks, "coset_table", forbidden)
-    monkeypatch.setattr(checks, "run_all_checks", forbidden)
+    monkeypatch.setattr(checks, "coset_table", forbidden("coset_table"))
+    monkeypatch.setattr(checks, "run_all_checks", forbidden("run_all_checks"))
     for command, cap_name, n, m in [
         ("check-three-term", "THREE_TERM_SIZE_CAP", 19, 109),
         ("verify-all", "VERIFY_SIZE_CAP", 23, 241),
@@ -749,10 +753,7 @@ def test_rationals_above_the_level_cap_exit_two_before_any_chain(capsys, monkeyp
     # A chain takes up to level(q) + 1 steps, so the level bounds its work.
     from periodhecke import cli
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("%s was started" % target)
-
-    monkeypatch.setattr(work_module(command, target), target, forbidden)
+    monkeypatch.setattr(work_module(command, target), target, forbidden(target))
     limit = cli.CHAIN_LEVEL_CAP
     for q in ("1/%d" % (limit + 1), "%d/7" % (limit + 1), "-%d/3" % (limit + 1)):
         assert main([command, "--q", q]) == 2

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from periodhecke.congruence import CosetTable, PermutationMatrix, coset_table, gamma0_contains
-from periodhecke.exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T
+from periodhecke.congruence import CosetTable, PermutationMatrix, coset_table, gamma0_contains, rho
+from periodhecke.exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T, T_PRIME
 from periodhecke.farey import chain_matrices
 from periodhecke.hecke import (
     HeckeOperatorMatrix,
@@ -19,6 +19,8 @@ from periodhecke.hecke import (
     vector_hecke,
     xm_representative,
 )
+
+import mutants
 
 
 def sigma_divisor_sum(m):
@@ -481,3 +483,107 @@ def test_a_wrong_sigma_fails_the_exact_division(monkeypatch):
     monkeypatch.setattr(hecke, "xgcd", off_by_one)
     with pytest.raises(ArithmeticError, match="not divisible by 3"):
         phi(coset_table(1), IntMatrix2(1, 1, 0, 3), 0)
+
+
+# Operators as mu x mu matrices over Z[Mat] acting on the right, written as
+# lists of terms (j, i, key, coefficient): the matrix with that key, with that
+# coefficient, in cell (j, i).  (psi | X)_j is the sum over the terms of X in
+# row j of psi_i | matrix.
+
+
+def three_term_terms(table):
+    """L, the operator three_term_residual evaluates: +I at (j, j), -T at
+    (j, rho(T^-1)[j]) and -T' at (j, rho(T'^-1)[j])."""
+    shift, move = rho(table, T.inverse()).image, rho(table, T_PRIME.inverse()).image
+    return [
+        term
+        for j in range(table.mu)
+        for term in ((j, j, I.key, 1), (j, shift[j], T.key, -1), (j, move[j], T_PRIME.key, -1))
+    ]
+
+
+def operator_terms(op):
+    """T_m: +B at (j, f_B[j]) for each column (B, f_B) of op."""
+    return [(j, i, mat.key, 1) for mat, image in op.columns for j, i in enumerate(image) if i is not None]
+
+
+def transposed_terms(table, m):
+    """T^t_m: +B^t at (j, g[j]) for each B in S_m, g the action of adj(B^t)
+    on the cosets, as vector_hecke reads f_B from adj(B)."""
+    terms = []
+    for mat in gen_sm(m):
+        transpose = IntMatrix2(mat.a, mat.c, mat.b, mat.d)
+        image = table.images(*transpose.adjugate().key)
+        terms.extend((j, i, transpose.key, 1) for j, i in enumerate(image) if i is not None)
+    return terms
+
+
+def then(x, y):
+    """X then Y, (X then Y)[j][i] = sum over k of X[k][i] * Y[j][k], as
+    {(j, i, key): coefficient} without zero coefficients: a term g of
+    X[k][i] and a term h of Y[j][k] give g * h, since psi | g | h is
+    psi | gh."""
+    by_row = {}
+    for k, i, g, x_coeff in x:
+        by_row.setdefault(k, []).append((i, g, x_coeff))
+    total = {}
+    for j, k, (e, f, p, q), y_coeff in y:
+        for i, (a, b, c, d), x_coeff in by_row.get(k, ()):
+            key = (j, i, (a * e + b * p, a * f + b * q, c * e + d * p, c * f + d * q))
+            total[key] = total.get(key, 0) + x_coeff * y_coeff
+    return {key: coeff for key, coeff in total.items() if coeff}
+
+
+def intertwines(op, table):
+    """True iff (op then L) equals (L then T^t_m) exactly, so that op maps
+    every psi with psi | L = 0 to one."""
+    three_term = three_term_terms(table)
+    return then(operator_terms(op), three_term) == then(three_term, transposed_terms(table, op.m))
+
+
+# m | n, gcd(m, n) > 1, mu = 1 and T_1 all occur.
+INTERTWINING_GRID = [(n, m) for n in range(1, 13) for m in range(1, 8)]
+
+
+def test_the_operator_intertwines_the_three_term_operator_with_its_transpose():
+    for n, m in INTERTWINING_GRID + [(27, 9)]:
+        table = coset_table(n)
+        assert intertwines(vector_hecke(table, m), table), (n, m)
+
+
+# Each mutant with the pairs it is tried at and the number of them where it
+# differs from the operator.  T_1 has one B, so dropping it leaves no
+# operator, and the transpose needs permutations, gcd(m, n) = 1.  Every
+# three-term check of the command line passes the swap of the last two rows
+# at the prime levels.
+INTERTWINING_MUTANTS = [
+    pytest.param(mutants.rotated, INTERTWINING_GRID, 77, id="rotated"),
+    pytest.param(mutants.swapped_last_rows, INTERTWINING_GRID, 74, id="swapped_last_rows"),
+    pytest.param(mutants.row_zero_unreached, INTERTWINING_GRID, 84, id="row_zero_unreached"),
+    pytest.param(mutants.unmapped, INTERTWINING_GRID, 84, id="unmapped"),
+    pytest.param(mutants.first_dropped, [(n, m) for n, m in INTERTWINING_GRID if m > 1], 72, id="first_dropped"),
+    pytest.param(
+        lambda table, m: mutants.transposed(vector_hecke(table, m)),
+        [(n, m) for n, m in INTERTWINING_GRID if math.gcd(m, n) == 1],
+        36,
+        id="transposed",
+    ),
+    pytest.param(
+        mutants.swapped_last_rows,
+        [(p, m) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29) for m in (2, 3, 5, 7)],
+        36,
+        id="swapped_last_rows-at-primes",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutant,pairs,differing", INTERTWINING_MUTANTS)
+def test_every_mutant_breaks_the_intertwining_wherever_it_differs(mutant, pairs, differing):
+    compared = 0
+    for n, m in pairs:
+        table = coset_table(n)
+        op = mutant(table, m)
+        if op != vector_hecke(table, m):
+            assert not intertwines(op, table), (n, m)
+            compared += 1
+    assert compared == differing

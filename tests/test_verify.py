@@ -5,9 +5,11 @@ import pytest
 from periodhecke import exact_core, hecke, verify
 from periodhecke.congruence import PermutationMatrix, coset_table, rho
 from periodhecke.exact_core import ExtendedRational, FormalSum, IntMatrix2
-from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
+from periodhecke.hecke import vector_hecke
 from periodhecke.numeric import cusp_solution, hecke_image, three_term_residual
 from periodhecke.verify import residual_and_scale, run_all_checks, sample_points, three_term_tolerance
+
+from mutants import first_dropped, rotated, row_zero_unreached, swapped_last_rows, transposed
 
 
 def failed(checks):
@@ -20,23 +22,10 @@ def test_correct_operator_passes_every_check_for_every_s(n, m, s):
     assert failed(run_all_checks(n, m, s=s)) == set()
 
 
-def rotated(table, m):
-    """The operator with every column map f_B rotated by one row."""
-    op = vector_hecke(table, m)
-    return HeckeOperatorMatrix(op.n, op.m, [(mat, image[1:] + image[:1]) for mat, image in op.columns])
-
-
 @pytest.mark.parametrize("n,m", [(2, 3), (4, 3), (6, 5), (5, 5)])
 def test_rotated_column_maps_fail_run_all_checks(monkeypatch, n, m):
     monkeypatch.setattr(verify, "vector_hecke", rotated)
     assert "three-term-preserved" in failed(run_all_checks(n, m, s=0.5 + 3j))
-
-
-def swapped_last_rows(table, m):
-    """The operator with rows mu - 2 and mu - 1 of every column map swapped."""
-    op = vector_hecke(table, m)
-    columns = [(mat, image[:-2] + image[:-3:-1]) for mat, image in op.columns]
-    return HeckeOperatorMatrix(op.n, op.m, columns)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -55,18 +44,6 @@ def test_rotated_column_maps_fail_the_coset_records(monkeypatch, n, m):
     assert "coset-record-membership" not in failed(run_all_checks(n, m))
     monkeypatch.setattr(verify, "vector_hecke", rotated)
     assert "coset-record-membership" in failed(run_all_checks(n, m))
-
-
-def transposed(op):
-    """The row/column transpose of an operator with gcd(m, n) = 1: B moves
-    from cell (j, f_B[j]) to cell (f_B[j], j), so each f_B is inverted."""
-    columns = []
-    for mat, image in op.columns:
-        inverse = [None] * op.mu
-        for j, i in enumerate(image):
-            inverse[i] = j
-        columns.append((mat, tuple(inverse)))
-    return HeckeOperatorMatrix(op.n, op.m, columns)
 
 
 @pytest.mark.parametrize("n,m", [(5, 2), (7, 2), (9, 2), (5, 3), (2, 5), (3, 5), (6, 5), (2, 7)])
@@ -151,23 +128,15 @@ def test_a_vanishing_reference_solution_is_not_a_pass():
 
 @pytest.mark.parametrize("n,m", [(5, 3), (1, 7)])
 def test_dropping_one_matrix_fails_the_entry_conditions(monkeypatch, n, m):
-    def dropped(table, m):
-        op = vector_hecke(table, m)
-        return HeckeOperatorMatrix(op.n, op.m, op.columns[1:])
-
-    monkeypatch.setattr(verify, "vector_hecke", dropped)
+    monkeypatch.setattr(verify, "vector_hecke", first_dropped)
     assert "operator-entry-conditions" in failed(run_all_checks(n, m))
 
 
 def test_an_unreached_row_fails_the_entry_conditions(monkeypatch):
     # gcd(m, n) > 1, so the operator's support is not all of S_m and only
     # the coverage of the rows is checked.
-    def row_zero_dropped(table, m):
-        op = vector_hecke(table, m)
-        return HeckeOperatorMatrix(op.n, op.m, [(mat, (None,) + image[1:]) for mat, image in op.columns])
-
     assert "operator-entry-conditions" not in failed(run_all_checks(4, 2))
-    monkeypatch.setattr(verify, "vector_hecke", row_zero_dropped)
+    monkeypatch.setattr(verify, "vector_hecke", row_zero_unreached)
     assert "operator-entry-conditions" in failed(run_all_checks(4, 2))
 
 
