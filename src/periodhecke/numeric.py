@@ -19,10 +19,10 @@ from .exact_core import IntMatrix2, S, T, T_PRIME
 __all__ = list(_EXPORTS["numeric"])
 
 # The words whose permutations the residuals apply: T^-1 and T'^-1, and
-# (0 1; 1 0) * T'^-1, the determinant -1 word of the transfer variant.
+# T'^-1 * (0 1; 1 0), the determinant -1 word of the transfer variant.
 _T_INVERSE = T.inverse()
 _T_PRIME_INVERSE = T_PRIME.inverse()
-_TRANSFER_PERM_WORD = IntMatrix2(-1, 1, 1, 0)
+_TRANSFER_PERM_WORD = IntMatrix2(0, 1, 1, -1)
 ETA_FD_STEP = 1e-5
 
 
@@ -100,9 +100,9 @@ def three_term_residual(psi, table, s, zeta):
 def transfer_residual(psi, table, s, sign, zeta):
     """Defect of the transfer-operator variant of the three-term equation,
 
-        psi(z) - rho(T^-1) psi(z+1) -+ z^(-2s) rho(M T'^-1) psi((z+1)/z)
+        psi(z) - rho(T^-1) psi(z+1) -+ z^(-2s) rho(T'^-1 M) psi((z+1)/z)
 
-    with M = (0 1; 1 0); sign is +1 or -1."""
+    with M = (0 1; 1 0); sign is -1 for odd solutions, +1 for even ones."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return _residual_and_terms(psi, table, s, zeta, sign)[0]

@@ -18,15 +18,7 @@ from periodhecke.congruence import (
 )
 from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME, xgcd
 from periodhecke.hecke import vector_hecke
-
-GENERATORS = [T, S, T_PRIME]
-
-
-def random_word(rng, max_len=6, alphabet=GENERATORS):
-    g = I
-    for _ in range(rng.randint(0, max_len)):
-        g = g * rng.choice(alphabet)
-    return g
+from periodhecke.verify import _random_word
 
 
 def random_gamma0_element(rng, n):
@@ -306,7 +298,7 @@ def test_index_locates_cosets(n):
     for _ in range(50):
         gamma = random_gamma0_element(rng, n)
         assert table.index(gamma) == 0
-        g = random_word(rng)
+        g = _random_word(rng)
         j = table.index(g)
         # Defining property: g * reps[j]^-1 in Gamma0(n), and only for j.
         assert gamma0_contains(n, g * table.reps[j].inverse())
@@ -369,8 +361,8 @@ def test_rho_is_a_homomorphism(n):
     table = coset_table(n)
     rng = random.Random(100 + n)
     for _ in range(200):
-        g = random_word(rng)
-        gp = random_word(rng)
+        g = _random_word(rng)
+        gp = _random_word(rng)
         assert rho(table, gp) @ rho(table, g) == rho(table, gp * g)
 
 
@@ -380,7 +372,7 @@ def test_rho_entry_definition():
     table = coset_table(n)
     rng = random.Random(11)
     for _ in range(20):
-        g = random_word(rng)
+        g = _random_word(rng)
         perm = rho(table, g)
         matrix = perm.rows()
         for i, gi in enumerate(table.reps):
@@ -398,7 +390,7 @@ def test_rho_conjugation_covariance_under_rep_permutation():
     permuted = CosetTable(n, [canonical.reps[k] for k in order])
     relabel = PermutationMatrix(order)
     for _ in range(30):
-        g = random_word(rng)
+        g = _random_word(rng)
         lhs = rho(permuted, g)
         rhs = relabel @ rho(canonical, g) @ relabel.inverse()
         assert lhs == rhs
@@ -412,7 +404,7 @@ def test_rho_independent_of_representative_choice_within_cosets():
         n, [random_gamma0_element(rng, n) * g for g in canonical.reps]
     )
     for _ in range(30):
-        g = random_word(rng)
+        g = _random_word(rng)
         assert rho(twisted, g) == rho(canonical, g)
 
 
@@ -429,7 +421,7 @@ def test_permutation_matrix_api():
 
 
 def test_rho_accepts_determinant_minus_one():
-    # The det -1 word of the transfer equation permutes cosets through the
+    # A det -1 word, here (0 1; 1 0) * T'^-1, permutes cosets through the
     # same bottom-row key.
     word = IntMatrix2(-1, 1, 1, 0)
     assert word.det == -1

@@ -3,9 +3,15 @@ import random
 
 import pytest
 
-from periodhecke.congruence import CosetTable, PermutationMatrix, coset_table, gamma0_contains, rho
+from periodhecke.congruence import (
+    CosetTable,
+    PermutationMatrix,
+    coset_projection,
+    coset_table,
+    gamma0_contains,
+    rho,
+)
 from periodhecke.exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T, T_PRIME
-from periodhecke.farey import chain_matrices
 from periodhecke.hecke import (
     HeckeOperatorMatrix,
     divisors,
@@ -19,6 +25,7 @@ from periodhecke.hecke import (
     vector_hecke,
     xm_representative,
 )
+from periodhecke.verify import reference_columns
 
 import mutants
 
@@ -393,41 +400,21 @@ def test_hecke_h_tilde_is_the_exact_core_function():
     assert hecke.h_tilde is exact_core.h_tilde
 
 
-def reference_vector_hecke(table, m):
-    """The per-(j, A) assembly that vector_hecke replaced, kept as its
-    oracle: sigma from xm_representative, the coset of A * reps[j] * sigma^-1
-    by matrix products, a chain for every (j, A), and each column from
-    table.index of the matrix reps[phi] * L^-1.  The defining set is the
-    A = (a b; 0 d) of X_m with gcd(a, n) = 1."""
-    a_set = [a for a in gen_xm(m) if math.gcd(a.a, table.n) == 1]
-    if m in (2, 3, 5, 7, 11, 13):
-        # For prime m this is the earlier two-case rule: all of X_m, less
-        # (m 0; 0 1) when m divides n.
-        old_rule = gen_xm(m)
-        if table.n % m == 0:
-            old_rule.remove(IntMatrix2(m, 0, 0, 1))
-        assert a_set == old_rule
-    maps = {}
-    for j, rep in enumerate(table.reps):
-        for a_mat in a_set:
-            s = sigma(rep, a_mat)
-            numerator = a_mat * rep * s.adjugate()
-            assert all(entry % m == 0 for entry in numerator.key)
-            target = table.reps[table.index(IntMatrix2(*(entry // m for entry in numerator.key)))]
-            for link in chain_matrices(ExtendedRational(s.b, s.d)):
-                image = maps.setdefault(link * s, [None] * table.mu)
-                assert image[j] is None
-                image[j] = table.index(target * link.inverse())
-    return HeckeOperatorMatrix(table.n, m, list(maps.items()))
-
-
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 11, 13, 4, 6, 9, 12])
 def test_vector_hecke_equals_the_reference_assembly(m):
     # Every n <= 60 for the primes m <= 5; otherwise, to keep the oracle's
     # run short, every n <= 24 and every multiple of m up to 60.
     for n in [n for n in range(1, 61) if m in (2, 3, 5) or n <= 24 or n % m == 0]:
         table = coset_table(n)
-        assert vector_hecke(table, m) == reference_vector_hecke(table, m), (n, m)
+        if m in (2, 3, 5, 7, 11, 13):
+            # For prime m the defining set, the A = (a b; 0 d) of X_m with
+            # gcd(a, n) = 1, is the earlier two-case rule: all of X_m, less
+            # (m 0; 0 1) when m divides n.
+            old_rule = gen_xm(m)
+            if n % m == 0:
+                old_rule.remove(IntMatrix2(m, 0, 0, 1))
+            assert [a for a in gen_xm(m) if math.gcd(a.a, n) == 1] == old_rule
+        assert dict(vector_hecke(table, m).columns) == reference_columns(table, m), (n, m)
 
 
 @pytest.mark.parametrize("n,m", [(1, 5), (30, 7), (114, 5)])
@@ -587,3 +574,83 @@ def test_every_mutant_breaks_the_intertwining_wherever_it_differs(mutant, pairs,
             assert not intertwines(op, table), (n, m)
             compared += 1
     assert compared == differing
+
+
+def level_compatible(fine, coarse, chi):
+    """True iff, wherever f_B of the level-kn operator fine reaches row i,
+    chi(f_B[i]) is the level-n f_B at chi(i), chi the projection from level
+    kn to level n; a B absent from coarse counts as reaching no row."""
+    maps = dict(coarse.columns)
+    unreached = (None,) * coarse.mu
+    return all(
+        chi[i] == maps.get(mat, unreached)[chi[j]]
+        for mat, image in fine.columns
+        for j, i in enumerate(image)
+        if i is not None
+    )
+
+
+# m | n, mu = 1, and a k sharing a factor with m all occur.
+LEVEL_GRID = [(n, k, m) for n in range(1, 9) for k in (2, 3, 4) for m in range(1, 7)]
+
+
+def test_the_operator_is_compatible_across_levels():
+    for n, k, m in LEVEL_GRID:
+        fine, coarse = vector_hecke(coset_table(k * n), m), vector_hecke(coset_table(n), m)
+        assert level_compatible(fine, coarse, coset_projection(k, n)), (n, k, m)
+
+
+def test_a_rotated_map_at_the_finer_level_breaks_the_compatibility_where_counted():
+    differing = broken = 0
+    for n, k, m in LEVEL_GRID:
+        fine = mutants.rotated(coset_table(k * n), m)
+        if fine != vector_hecke(coset_table(k * n), m):
+            differing += 1
+            broken += not level_compatible(fine, vector_hecke(coset_table(n), m), coset_projection(k, n))
+    assert (differing, broken) == (144, 126)
+
+
+def reflection_symmetric(op, table):
+    """True iff f_{JBJ}[j] = eps[f_B[eps[j]]] for every column (B, f_B) of
+    op, with J = (0 1; 1 0), JBJ = (d c; b a), eps = rho(J) and None kept
+    as None; a JBJ absent from op counts as reaching no row."""
+    eps = rho(table, IntMatrix2(0, 1, 1, 0)).image
+    maps = dict(op.columns)
+    unreached = (None,) * op.mu
+    return all(
+        maps.get(IntMatrix2(mat.d, mat.c, mat.b, mat.a), unreached)
+        == tuple(None if image[e] is None else eps[image[e]] for e in eps)
+        for mat, image in op.columns
+    )
+
+
+def test_the_operator_commutes_with_the_reflection():
+    for n, m in INTERTWINING_GRID:
+        table = coset_table(n)
+        assert reflection_symmetric(vector_hecke(table, m), table), (n, m)
+
+
+# Each mutant with the pairs it is tried at, the number of them where it
+# differs from the operator, and the number of those where it breaks the
+# reflection identity, which is weaker than the intertwining.
+REFLECTION_MUTANTS = [
+    pytest.param(mutants.rotated, INTERTWINING_GRID, 77, 77, id="rotated"),
+    pytest.param(mutants.swapped_last_rows, INTERTWINING_GRID, 74, 67, id="swapped_last_rows"),
+    pytest.param(mutants.row_zero_unreached, INTERTWINING_GRID, 84, 77, id="row_zero_unreached"),
+    pytest.param(mutants.unmapped, INTERTWINING_GRID, 84, 0, id="unmapped"),
+    pytest.param(
+        mutants.first_dropped, [(n, m) for n, m in INTERTWINING_GRID if m > 1], 72, 72, id="first_dropped"
+    ),
+]
+
+
+@pytest.mark.parametrize("mutant,pairs,differing,broken", REFLECTION_MUTANTS)
+def test_mutants_break_the_reflection_identity_where_counted(mutant, pairs, differing, broken):
+    counts = [0, 0]
+    for n, m in pairs:
+        table = coset_table(n)
+        op = mutant(table, m)
+        if op != vector_hecke(table, m):
+            counts[0] += 1
+            counts[1] += not reflection_symmetric(op, table)
+    assert counts == [differing, broken]

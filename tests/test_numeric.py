@@ -7,6 +7,7 @@ from periodhecke.congruence import coset_table, rho
 from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME
 from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
 from periodhecke.numeric import (
+    _residual_and_terms,
     apply_hecke_numeric,
     constant_lift,
     cusp_solution,
@@ -18,6 +19,7 @@ from periodhecke.numeric import (
     three_term_residual,
     transfer_residual,
 )
+from periodhecke.verify import _random_word, sample_points
 
 from mutants import mutated
 
@@ -125,7 +127,7 @@ def written_out_residual(psi, table, s, zeta, sign=None):
     if sign is None:
         c, x, word = (zeta + 1) ** (-2 * s), zeta / (zeta + 1), T_PRIME.inverse()
     else:
-        c, x, word = sign * zeta ** (-2 * s), (zeta + 1) / zeta, IntMatrix2(0, 1, 1, 0) * T_PRIME.inverse()
+        c, x, word = sign * zeta ** (-2 * s), (zeta + 1) / zeta, T_PRIME.inverse() * IntMatrix2(0, 1, 1, 0)
     moved = rho(table, word).image
     base, ahead, behind = psi(zeta), psi(zeta + 1), psi(x)
     return [base[j] - ahead[shift[j]] - c * behind[moved[j]] for j in range(table.mu)]
@@ -146,6 +148,55 @@ def test_residuals_equal_the_written_out_formula_bit_for_bit(n, s):
                 assert transfer_residual(psi, table, s, sign, zeta) == expected
 
 
+def parity_part(psi, table, s, sign):
+    """(psi + sign * psi|eps) / 2, the even part of psi for sign +1 and the
+    odd part for -1, where (psi|eps)(z) = z^(-2s) eps psi(1/z) with
+    component j of eps v equal to v[rho((0 1; 1 0))[j]]."""
+    eps = rho(table, IntMatrix2(0, 1, 1, 0)).image
+
+    def part(z):
+        here, there = psi(z), psi(1 / z)
+        return [(here[j] + sign * z ** (-2 * s) * there[eps[j]]) / 2 for j in range(table.mu)]
+
+    return part
+
+
+def transfer_relative_residual(psi, table, s, sign):
+    """The largest transfer-variant residual of psi at verify's 25 sample
+    points, relative to the largest of the three terms it sums there."""
+    worst = largest = 0.0
+    for zeta in sample_points(25):
+        residual, (base, shifted, moved, c) = _residual_and_terms(psi, table, s, zeta, sign)
+        worst = max(worst, *map(abs, residual))
+        largest = max(largest, *map(abs, [*base, *shifted, *(c * v for v in moved)]))
+    return worst / largest
+
+
+PARITY_S = pytest.mark.parametrize("s", [1, 2.5, 0.5 + 3j], ids=["s=1", "s=2.5", "s=0.5+3i"])
+
+
+@PARITY_S
+@pytest.mark.parametrize("n", [2, 6, 13, 30])
+def test_the_odd_reference_solution_solves_the_minus_transfer_variant(n, s):
+    # At these levels cusp_solution is odd, psi|eps = -psi, so it solves
+    # the transfer form of the three-term equation with sign -1; with the
+    # word (0 1; 1 0) * T'^-1 in place of T'^-1 * (0 1; 1 0) it missed by
+    # 0.49 to 0.98 of the largest term.
+    table = coset_table(n)
+    assert transfer_relative_residual(cusp_solution(table, s), table, s, -1) < 1e-14
+
+
+@PARITY_S
+@pytest.mark.parametrize("n", [36, 100])
+def test_the_even_and_odd_parts_solve_the_plus_and_minus_transfer_variants(n, s):
+    # Here cusp_solution has an even part, of relative size 7e-3 to 8e-3;
+    # with the other word either part missed by about 1.
+    table = coset_table(n)
+    psi = cusp_solution(table, s)
+    assert transfer_relative_residual(parity_part(psi, table, s, 1), table, s, 1) < 1e-12
+    assert transfer_relative_residual(parity_part(psi, table, s, -1), table, s, -1) < 1e-14
+
+
 def test_r_zeta_values():
     assert r_zeta(1j, 0.0) == pytest.approx(1.0)
     assert r_zeta(2j, 1.0) == pytest.approx(2 / 5)
@@ -153,18 +204,11 @@ def test_r_zeta_values():
         r_zeta(1.0 - 1j, 0.0)
 
 
-def _random_sl2_word(rng, max_len=5):
-    g = I
-    for _ in range(rng.randint(0, max_len)):
-        g = g * rng.choice([T, S, T_PRIME])
-    return g
-
-
 def test_r_zeta_transformation():
     rng = random.Random(31)
     worst = 0.0
     for _ in range(100):
-        g = _random_sl2_word(rng)
+        g = _random_word(rng, 5)
         z = rng.uniform(-2, 2) + 1j * rng.uniform(0.2, 3.0)
         zeta = rng.uniform(-3, 3)
         if abs(g.c * zeta + g.d) < 1e-6:
