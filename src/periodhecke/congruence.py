@@ -3,12 +3,14 @@ cosets in SL(2,Z), the induced permutation representation, and the
 level-projection map between coset index sets.
 
 The right cosets are the points (c : d) of P^1(Z/nZ).  A point's key is its
-lexicographically least unit multiple mod n, computed directly (Cremona,
-Algorithms for Modular Elliptic Curves, 2.2): (0, 1) if n | c, else (g, r)
+lexicographically least unit multiple mod n: (0, 1) if n | c, else (g, r)
 with g = gcd(c, n) and r the least u*d mod n over the units u with
-u*c = g mod n.  A canonical table numbers the cosets by their keys; the
-minimal-entry representatives are searched only when reps is read.  The
-key works verbatim for determinant -1 matrices as well
+u*c = g mod n.  Those u lift x = (c/g)^-1 mod n/g, so g and the class
+x*d mod n/g fix the point, and a table finds its coset from per-residue
+and per-divisor lists built once (Cremona, Algorithms for Modular
+Elliptic Curves, 2.2).  A canonical table numbers the cosets by their
+keys; the minimal-entry representatives are searched only when reps is
+read.  The lookup works verbatim for determinant -1 matrices as well
 (Gamma0(n) and diag(1,-1) generate a group with the same coset structure),
 which the numeric layer needs for one transfer-equation word.
 """
@@ -26,6 +28,8 @@ __all__ = list(_EXPORTS["congruence"])
 
 def gamma0_contains(n, g):
     """True iff g is in SL(2,Z) with lower-left entry divisible by n."""
+    if n < 1:
+        raise ValueError("level must be positive")
     if g.det != 1:
         raise ValueError("Gamma0(n) only contains determinant-1 matrices")
     return g.c % n == 0
@@ -46,27 +50,6 @@ def gamma0_index(n):
     if rest > 1:
         mu = mu // rest * (rest + 1)
     return mu
-
-
-def _p1_key(n, c, d):
-    """The key of (c : d) for gcd(c, d, n) = 1.  The units u with u*c = g
-    mod n lift x = (c/g)^-1 mod n/g, so u*d runs through (x*d mod n/g) +
-    j*(n/g); r is the first of these whose lift u is a unit."""
-    if n == 1:
-        return (0, 0)
-    g = math.gcd(c, n)
-    if g == 1:
-        return (1, pow(c, -1, n) * d % n)
-    if g == n:
-        return (0, 1)
-    step = n // g
-    x = pow(c // g, -1, step)
-    high, low = divmod(x * d % n, step)
-    d_inverse = pow(d, -1, g)
-    for j in range(g):
-        t = (j - high) * d_inverse % g
-        if math.gcd(x + t * step, n) == 1:
-            return (g, low + step * j)
 
 
 def _p1_keys(n):
@@ -91,10 +74,10 @@ def _p1_keys(n):
     return keys
 
 
-def _minimal_reps(n):
-    """For every coset key, the (a, b, c, d) of the determinant-1 matrix
-    with that key minimizing max(|a|,|b|,|c|,|d|), ties broken
-    lexicographically.
+def _minimal_reps(table):
+    """For every coset index of a canonical table, the (a, b, c, d) of the
+    determinant-1 matrix in that coset minimizing max(|a|,|b|,|c|,|d|),
+    ties broken lexicographically.
 
     Lemma: every primitive (c, d) has a lift (a b; c d) with |a|, |b| <= B
     = max(|c|, |d|).  B = 1 and c = 0 (then d = +-1) check by hand;
@@ -106,13 +89,13 @@ def _minimal_reps(n):
     runs from floor(pivot) - 1 to floor(pivot) + 1.  Only pairs of the
     classes (gcd(c, n), gcd(d, n)) = (g, e) with cosets unreached,
     phi(n / (g*e)) at first, are visited, and the sweep stops when none is
-    left.  (c, d) and (-c, -d) share their key and their lifts are
+    left.  (c, d) and (-c, -d) share their coset and their lifts are
     negations of each other, so each shell visits the pairs (c, B) and
-    (B, d) and offers both signs; a unit c keys as (1, c^-1 * d mod n)."""
+    (B, d) and offers both signs; the table's rows locate each pair."""
+    n, lookup = table.n, table._rows
     parts = divisors(n)
     pending = {(g, e): sum(math.gcd(u, n // g // e) == 1 for u in range(n // g // e))
                for g in parts for e in parts if math.gcd(g, e) == 1}
-    inverse = {u: pow(u, -1, n) for u in range(1, n) if math.gcd(u, n) == 1}
     signed = {g: [0] if g == n else [] for g in parts}  # the x with gcd(x, n) == g, |x| < bound
     best = {}
     bound = 0
@@ -128,9 +111,9 @@ def _minimal_reps(n):
         for c, d in pairs:
             if math.gcd(c, d) != 1:
                 continue
-            unit = inverse.get(c % n)
-            key = _p1_key(n, c, d) if unit is None else (1, unit * d % n)
-            if key in best:
+            inverse, step, slots, _ = lookup[c % n]
+            coset = slots[inverse * d % step]
+            if coset in best:
                 continue
             # a*d - b*c = 1 with (a, b) = (x + t*c, y + t*d).
             _, x, y = xgcd(d, -c)
@@ -139,10 +122,10 @@ def _minimal_reps(n):
                 a, b = x + t * c, y + t * d
                 if abs(a) <= bound and abs(b) <= bound:
                     least = min((a, b, c, d), (-a, -b, -c, -d))
-                    if key not in offered or least < offered[key]:
-                        offered[key] = least
-        for g, r in offered:
-            pending[math.gcd(g, n), math.gcd(r, n)] -= 1
+                    if coset not in offered or least < offered[coset]:
+                        offered[coset] = least
+        for _, _, c, d in offered.values():
+            pending[math.gcd(c, n), math.gcd(d, n)] -= 1
         best.update(offered)
         pending = {ge: left for ge, left in pending.items() if left}
     return best
@@ -157,45 +140,51 @@ class CosetTable(Frozen):
     reps, the minimal-entry lifts of the keys, are searched the first time
     reps is read.  An explicit complete list of reps fixes the numbering
     instead, and its points are the bottom rows of the reps.
-    index_of_row() looks (c, d) mod n up in a dict seeded with each coset's
-    key, itself such a pair, and adds each pair it had to compute a key for.
+    The constructor builds the lookup once, in O(n): row c of _rows is
+    (x, n/g, slots of g, g) for g = gcd(c, n) and x = (c/g)^-1 mod n/g, and
+    the slots of a divisor g hold the coset of each class x*d mod n/g.
+    Lookups only read it.
     """
 
-    __slots__ = ("n", "mu", "points", "_reps", "_index_of_pair")
+    __slots__ = ("n", "mu", "points", "_reps", "_rows")
 
     def __init__(self, n, reps=None):
         if n < 1:
             raise ValueError("level must be positive")
-        if reps is None:
-            points = tuple(_p1_keys(n))
-            index_of_pair = {key: idx for idx, key in enumerate(points)}
-        else:
+        if reps is not None:
             reps = tuple(reps)
-            index_of_pair = {}
-            for idx, g in enumerate(reps):
-                if g.det != 1:
-                    raise ValueError("coset representatives must have determinant 1")
-                key = _p1_key(n, g.c, g.d)
-                if key in index_of_pair:
-                    raise ValueError("representatives %d and %d share a coset" % (index_of_pair[key], idx))
-                index_of_pair[key] = idx
-            if len(reps) != gamma0_index(n):
-                raise ValueError("expected %d representatives, got %d" % (gamma0_index(n), len(reps)))
-            points = tuple((g.c, g.d) for g in reps)
+        points = tuple(_p1_keys(n)) if reps is None else tuple((g.c, g.d) for g in reps)
+        slots_of = {g: [None] * (n // g) for g in divisors(n)}
+        rows = [None] * n
+        for c in range(n):
+            if rows[c] is None:  # one inverse fills the rows of c = g*k and of g*x, x = k^-1 mod n/g
+                g = math.gcd(c, n)
+                x = pow(c // g, -1, n // g)
+                rows[c], rows[g * x] = (x, n // g, slots_of[g], g), (c // g, n // g, slots_of[g], g)
+        for idx, (c, d) in enumerate(points):
+            if reps is not None and reps[idx].det != 1:
+                raise ValueError("coset representatives must have determinant 1")
+            inverse, step, slots, _ = rows[c % n]
+            low = inverse * d % step
+            if slots[low] is not None:
+                raise ValueError("representatives %d and %d share a coset" % (slots[low], idx))
+            slots[low] = idx
+        if len(points) != gamma0_index(n):
+            raise ValueError("expected %d representatives, got %d" % (gamma0_index(n), len(points)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu", len(points))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "_reps", reps)
-        object.__setattr__(self, "_index_of_pair", index_of_pair)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def reps(self):
         """One determinant-1 matrix per coset, in index order: the explicit
         list, or for a canonical table the identity and then the minimal
-        lift of each later key, searched once on the first read."""
+        lift of each later coset, searched once on the first read."""
         if self._reps is None:
-            best = _minimal_reps(self.n)
-            object.__setattr__(self, "_reps", (I,) + tuple(IntMatrix2(*best[key]) for key in self.points[1:]))
+            best = _minimal_reps(self)
+            object.__setattr__(self, "_reps", (I,) + tuple(IntMatrix2(*best[j]) for j in range(1, self.mu)))
         return self._reps
 
     def index(self, g):
@@ -206,15 +195,11 @@ class CosetTable(Frozen):
 
     def index_of_row(self, c, d):
         """The coset of every det +-1 matrix with bottom row (c, d).  (c, d)
-        must be a point of P^1(Z/nZ), gcd(c, d, n) = 1; every pair in the
-        dict is one, so only a miss checks."""
-        pair = (c % self.n, d % self.n)
-        index = self._index_of_pair.get(pair)
-        if index is None:
-            if math.gcd(*pair, self.n) != 1:
-                raise ValueError("row (%d, %d) is not a point of P^1(Z/%dZ)" % (c, d, self.n))
-            index = self._index_of_pair[pair] = self._index_of_pair[_p1_key(self.n, *pair)]
-        return index
+        must be a point of P^1(Z/nZ): gcd(c, d, n) = gcd(d, g) = 1."""
+        inverse, step, slots, g = self._rows[c % self.n]
+        if g != 1 and math.gcd(d, g) != 1:
+            raise ValueError("row (%d, %d) is not a point of P^1(Z/%dZ)" % (c, d, self.n))
+        return slots[inverse * d % step]
 
     def images(self, a, b, c, d):
         """The action of g = (a b; c d) on the cosets: entry i is the coset
@@ -222,12 +207,11 @@ class CosetTable(Frozen):
         where that row (u, v) has gcd(u, v, n) > 1.  (x, y) is a unit
         multiple of the bottom row of reps[i], which changes neither, so
         for det g = +-1 entry i is the coset of reps[i] * g."""
-        n, known, index_of_row = self.n, self._index_of_pair.get, self.index_of_row
-        images = []
+        n, rows, images = self.n, self._rows, []
         for x, y in self.points:
-            u, v = (x * a + y * c) % n, (x * b + y * d) % n
-            index = known((u, v))
-            images.append(index if index is not None or math.gcd(u, v, n) > 1 else index_of_row(u, v))
+            inverse, step, slots, g = rows[(x * a + y * c) % n]
+            v = x * b + y * d
+            images.append(slots[inverse * v % step] if g == 1 or math.gcd(v, g) == 1 else None)
         return tuple(images)
 
     def __repr__(self):
@@ -300,7 +284,7 @@ def rho(table, g):
     repeated calls return the same immutable matrix.
 
     Satisfies rho(g') @ rho(g) == rho(g' * g).  Determinant -1 arguments are
-    accepted through the same coset key (see module docstring); row i is
+    accepted through the same lookup (see module docstring); row i is
     read from CosetTable.images.
     """
     if g.det not in (1, -1):

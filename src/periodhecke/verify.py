@@ -149,12 +149,12 @@ def run_all_checks(n, m, s=1.0):
     # The level-lev sequence is the part of the top one with level <= lev,
     # so the scan oracle walks left from q to the first such member.
     top = farey_sequence(min(10 + m, 30))
+    levels = [level(q) for q in top]
     ok = True
     for k in range(1, len(top)):
-        q = top[k]
-        lev = level(q)
+        q, lev = top[k], levels[k]
         i = k - 1
-        while level(top[i]) > lev:
+        while levels[i] > lev:
             i -= 1
         neighbor = left_neighbor(q)
         if neighbor != top[i] or (lev > 0 and level(neighbor) >= lev):

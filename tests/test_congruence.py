@@ -8,7 +8,6 @@ from periodhecke.congruence import (
     CosetTable,
     PermutationMatrix,
     _minimal_reps,
-    _p1_key,
     _p1_keys,
     coset_projection,
     coset_table,
@@ -148,18 +147,21 @@ def test_canonical_reps_lie_in_the_first_shell_that_reaches_their_coset():
 
 
 def test_the_sweep_seeds_the_index_that_validating_its_reps_builds():
-    # A fresh canonical table, before any lookup, against the explicit-reps
-    # path, which keys and checks every representative itself.
+    # The canonical lookup tables, filled from the keys, against the
+    # explicit-reps path, which places and checks every representative
+    # itself; each representative looks up as its own coset.
     for k in list(range(1, 121)) + [166, 232, 244, 247, 250, 268]:
         canonical = CosetTable(k)
-        assert canonical._index_of_pair == CosetTable(k, canonical.reps)._index_of_pair, k
+        assert canonical._rows == CosetTable(k, canonical.reps)._rows, k
+        assert [canonical.index(rep) for rep in canonical.reps] == list(range(canonical.mu)), k
 
 
 def test_the_enumerated_keys_are_the_keys_the_sweep_reaches():
     for k in list(range(1, 201)) + [232, 244, 247, 250, 268, 360, 400]:
         keys = _p1_keys(k)
         assert keys == sorted(set(keys)), k
-        assert set(keys) == set(_minimal_reps(k)), k
+        table = CosetTable(k)
+        assert {table.points[j] for j in _minimal_reps(table)} == set(keys), k
         assert len(keys) == gamma0_index(k), k
 
 
@@ -167,7 +169,7 @@ def test_a_canonical_table_numbers_its_cosets_by_the_enumerated_keys():
     for k in [1, 2, 12, 166]:
         table = CosetTable(k)
         assert table.points == tuple(_p1_keys(k))
-        assert table.points[0] == _p1_key(k, 0, 1)
+        assert table.index_of_row(0, 1) == 0
         assert [table.index_of_row(*point) for point in table.points] == list(range(table.mu))
 
 
@@ -180,8 +182,8 @@ def test_rho_and_vector_hecke_never_build_the_representatives(monkeypatch):
         for n, m in cases
     }
 
-    def no_search(n):
-        raise AssertionError("the representatives of level %d were searched" % n)
+    def no_search(table):
+        raise AssertionError("the representatives of level %d were searched" % table.n)
 
     monkeypatch.setattr(congruence, "_minimal_reps", no_search)
     for n, m in cases:
@@ -199,10 +201,76 @@ def test_canonical_reps_are_searched_once_and_explicit_points_are_their_bottom_r
     assert explicit.points == tuple((g.c, g.d) for g in table.reps[::-1])
 
 
+def check_lookups_against_the_orbit_oracle(k):
+    """Every pair (c, d) mod k: index_of_row gives the coset of its orbit
+    key, or raises exactly when gcd(c, d, k) > 1, and images gives None
+    exactly at those rows.  The points (1 : r) times (0 b; 1 0) are the rows
+    (r, b), so images of those k matrices reach every pair."""
+    key_of = orbit_keys(k)
+    table = CosetTable(k)
+    assert table.points == tuple(sorted(set(key_of.values()))), k
+    index_of_key = {key: j for j, key in enumerate(table.points)}
+    coset_of = {pair: index_of_key[key] for pair, key in key_of.items()}
+    for c in range(k):
+        for d in range(k):
+            if (c, d) in coset_of:
+                assert table.index_of_row(c, d) == coset_of[c, d], (k, c, d)
+            else:
+                with pytest.raises(ValueError, match="not a point"):
+                    table.index_of_row(c, d)
+    for b in range(k):
+        expected = tuple(coset_of.get((y % k, x * b % k)) for x, y in table.points)
+        assert table.images(0, b, 1, 0) == expected, (k, b)
+
+
 def test_p1_key_equals_the_orbit_oracle_on_every_primitive_pair():
     for k in range(1, 121):
-        for (c, d), key in orbit_keys(k).items():
-            assert _p1_key(k, c, d) == key, (k, c, d)
+        check_lookups_against_the_orbit_oracle(k)
+
+
+@pytest.mark.parametrize("k", [166, 232, 244, 247, 250, 268, 400])
+def test_lookups_equal_the_orbit_oracle_on_every_pair_at_large_levels(k):
+    check_lookups_against_the_orbit_oracle(k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 12, 30, 97, 166])
+def test_an_explicit_table_looks_up_the_canonical_cosets_renumbered(k):
+    # Explicit coset i is canonical coset order[i], reached by a rep twisted
+    # by a random element of Gamma0(k), so its point is no key.
+    canonical = CosetTable(k)
+    rng = random.Random(900 + k)
+    order = list(range(canonical.mu))
+    rng.shuffle(order)
+    explicit = CosetTable(k, [random_gamma0_element(rng, k) * canonical.reps[j] for j in order])
+    for c in range(k):
+        for d in range(k):
+            if math.gcd(c, d, k) == 1:
+                assert order[explicit.index_of_row(c, d)] == canonical.index_of_row(c, d), (k, c, d)
+            else:
+                with pytest.raises(ValueError, match="not a point"):
+                    explicit.index_of_row(c, d)
+    for det in range(-3, 4):
+        for g in matrices_of_determinant(rng, det, 4):
+            ours, theirs = explicit.images(*g.key), canonical.images(*g.key)
+            assert [None if j is None else order[j] for j in ours] == [theirs[j] for j in order], (k, g)
+
+
+def test_lookups_leave_every_attribute_of_the_table_unchanged():
+    rng = random.Random(15)
+    for table in (CosetTable(250), CosetTable(12, coset_table(12).reps[::-1])):
+        table.reps  # the one attribute filled after construction, on first read
+        before = {name: repr(getattr(table, name)) for name in CosetTable.__slots__}
+        for g in matrices_of_determinant(rng, 1, 5) + matrices_of_determinant(rng, 6, 5):
+            table.images(*g.key)
+        for rep in table.reps:
+            table.index(rep * S)
+        for c in range(table.n):
+            for d in range(table.n):
+                if math.gcd(c, d, table.n) == 1:
+                    table.index_of_row(c + table.n * 10 ** 20, d - table.n * 10 ** 20)
+        with pytest.raises(ValueError):
+            table.index_of_row(2, 4)
+        assert {name: repr(getattr(table, name)) for name in CosetTable.__slots__} == before
 
 
 def random_unimodular(rng, det, size):
@@ -232,7 +300,7 @@ def test_index_agrees_with_the_orbit_oracle_on_large_matrices(n):
 
 @pytest.mark.parametrize("n", [1, 2, 12, 45, 97, 128, 166, 210, 250, 268, 400])
 def test_index_of_row_equals_index_on_large_matrices(n):
-    # Two fresh tables, so neither lookup reads a pair the other memoised.
+    # Two fresh tables, one asked by row and one by matrix.
     by_row, by_matrix = CosetTable(n), CosetTable(n)
     rng = random.Random(800 + n)
     for det in (1, -1) * 100:
@@ -242,7 +310,7 @@ def test_index_of_row_equals_index_on_large_matrices(n):
 
 @pytest.mark.parametrize("row", [(0, 2), (2, 4), (3, 3), (2, 0)])
 def test_index_of_row_rejects_a_row_off_the_projective_line(row):
-    # gcd(c, d, 12) > 1: no coset has this bottom row, and no answer is cached.
+    # gcd(c, d, 12) > 1: no coset has this bottom row, on the first ask or the second.
     table = CosetTable(12)
     for _ in range(2):
         with pytest.raises(ValueError, match=r"row \(%d, %d\) is not a point of P\^1\(Z/12Z\)" % row):
@@ -255,6 +323,9 @@ def test_gamma0_contains_examples():
     assert gamma0_contains(2, IntMatrix2(1, 0, 2, 1))
     with pytest.raises(ValueError):
         gamma0_contains(2, IntMatrix2(1, 0, 0, -1))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="level must be positive"):
+            gamma0_contains(n, T)
 
 
 def test_index_formula_small_values():
