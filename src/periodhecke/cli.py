@@ -25,14 +25,14 @@ from . import _plain_number
 # minutes.  `farey --n` lists about 1.2 n^2 rationals (3 MB of JSON at 500).
 # A chain from --q takes at most level(q) + 1 steps, so the level
 # max(|a|, b) of --q is capped (mq --q 99999/100000 takes about 1.7 s).
-# A level-400 coset table takes about 0.5 ms and its representatives about
+# A level-400 coset table takes about 0.6 ms and its representatives about
 # 0.01 s; each index cap is at most 2 s at level 1.  The operator commands
 # handle mu(n) * |S_m| pairs (j, B), so that product has a cap of its own
 # (hecke-vector caps mu(n) * sigma(m), sigma(m) the divisor sum).  The
 # slowest admitted runs found take about 1.2 s (hecke-vector --n 1 --m 1440),
 # 2.3 s (check-three-term --n 3 --m 114) and 2.2 s (verify-all --n 3 --m 216)
 # as whole runs (CPU time, best of 3, Python 3.11 on a shared 2-core VM; the
-# coset figures are best of 7 fresh processes).
+# coset figures are best of 15 fresh processes).
 FAREY_LEVEL_CAP = 500
 CHAIN_LEVEL_CAP = 100000
 COSET_LEVEL_CAP = 400

@@ -155,12 +155,10 @@ class CosetTable(Frozen):
             reps = tuple(reps)
         points = tuple(_p1_keys(n)) if reps is None else tuple((g.c, g.d) for g in reps)
         slots_of = {g: [None] * (n // g) for g in divisors(n)}
-        rows = [None] * n
+        rows = []
         for c in range(n):
-            if rows[c] is None:  # one inverse fills the rows of c = g*k and of g*x, x = k^-1 mod n/g
-                g = math.gcd(c, n)
-                x = pow(c // g, -1, n // g)
-                rows[c], rows[g * x] = (x, n // g, slots_of[g], g), (c // g, n // g, slots_of[g], g)
+            g = math.gcd(c, n)
+            rows.append((pow(c // g, -1, n // g), n // g, slots_of[g], g))
         for idx, (c, d) in enumerate(points):
             if reps is not None and reps[idx].det != 1:
                 raise ValueError("coset representatives must have determinant 1")

@@ -163,6 +163,11 @@ def test_the_enumerated_keys_are_the_keys_the_sweep_reaches():
         table = CosetTable(k)
         assert {table.points[j] for j in _minimal_reps(table)} == set(keys), k
         assert len(keys) == gamma0_index(k), k
+        # Independently of the lookup: the key of coset j is the lex-least
+        # unit multiple of its representative's bottom row.
+        units = [u for u in range(k) if math.gcd(u, k) == 1]
+        for point, rep in zip(table.points, table.reps):
+            assert point == min((u * rep.c % k, u * rep.d % k) for u in units), (k, rep)
 
 
 def test_a_canonical_table_numbers_its_cosets_by_the_enumerated_keys():
