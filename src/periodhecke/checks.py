@@ -38,9 +38,9 @@ def _parse_complex(text):
     except ValueError:
         parts = []
     if len(parts) not in (1, 2):
-        raise cli.UsageError("spectral parameter must be given as re or re,im")
+        raise ValueError("spectral parameter must be given as re or re,im")
     if not all(math.isfinite(p) for p in parts):
-        raise cli.UsageError("spectral parameter must be finite, got %r" % text)
+        raise ValueError("spectral parameter must be finite, got %r" % text)
     return complex(*parts)
 
 
@@ -49,11 +49,11 @@ def _float_range(s_text):
     """Report a spectral parameter that drives the weights z^(-2s) or the
     kernel powers out of the floating-point range (an overflow, a division
     by a power that underflowed to 0, or a result _finite rejects) as a
-    usage error."""
+    ValueError that names --s."""
     try:
         yield
     except (OverflowError, ZeroDivisionError):
-        raise cli.UsageError(
+        raise ValueError(
             "--s %s drives the numeric weights out of the floating-point range; "
             "choose a smaller |s|" % s_text
         ) from None
@@ -77,7 +77,7 @@ def cmd_check_three_term(args):
         worst, largest = residual_and_scale(hecke_image(op, psi, s), table, s, zetas)
         _finite(worst, largest)
     if largest == 0:
-        raise cli.UsageError("the Hecke image vanishes at --s %s, so there is nothing to check" % args.s)
+        raise ValueError("the Hecke image vanishes at --s %s, so there is nothing to check" % args.s)
     tolerance = three_term_tolerance(s)
     relative = worst / largest
     payload = {"max_residual": relative, "points": THREE_TERM_POINTS}
@@ -88,7 +88,7 @@ def cmd_check_three_term(args):
 def cmd_check_laplace(args):
     s = _parse_complex(args.s)
     if s * (1 - s) == 0:
-        raise cli.UsageError("--s must not be 0 or 1: the eigenvalue s(1-s) is 0, so no relative error exists")
+        raise ValueError("--s must not be 0 or 1: the eigenvalue s(1-s) is 0, so no relative error exists")
     zeta = 0.7
     f = lambda z: r_zeta(z, zeta) ** s
     worst_coarse = worst_fine = 0.0
@@ -99,6 +99,14 @@ def cmd_check_laplace(args):
             worst_coarse = max(worst_coarse, abs(laplace_fd(f, z0, LAPLACE_H) - reference) / abs(reference))
             worst_fine = max(worst_fine, abs(laplace_fd(f, z0, LAPLACE_H2) - reference) / abs(reference))
         _finite(worst_coarse, worst_fine)
+        # The stencil's weights sum to 8 in absolute value, so values of f
+        # correct to a relative epsilon leave laplace_fd a rounding error up
+        # to 8 eps y^2 |f| / h^2, largest at the last (highest) z0.  Below the
+        # error a second-order stencil leaves at h2, worst_coarse * (h2/h)^2,
+        # rounding lowers the order by at most log10(2), inside the window.
+        rounding = 8 * sys.float_info.epsilon * z0.imag ** 2 / (LAPLACE_H2 ** 2 * abs(s * (1 - s)))
+        if rounding > worst_coarse * (LAPLACE_H2 / LAPLACE_H) ** 2:
+            raise ValueError("the step-h2 Laplace errors are at the finite-difference noise floor at --s %s" % args.s)
         order = math.log(worst_coarse / worst_fine) / math.log(LAPLACE_H / LAPLACE_H2)
     payload = {
         "error_h": worst_coarse,
@@ -123,10 +131,10 @@ def cmd_check_eta_loop(args):
         # Constant weights (s = 0) close the form exactly; weights that
         # underflowed to 0 leave the range error of the ratios below.
         if not any(magnitudes) and u(loop[0]) * v(loop[0]) != 0:
-            raise cli.UsageError("the loop integrals vanish at --s %s, so there is nothing to check" % args.s)
+            raise ValueError("the loop integrals vanish at --s %s, so there is nothing to check" % args.s)
         # Under the rounding error of one central difference, ratios are noise.
         if magnitudes[0] < sys.float_info.epsilon / ETA_FD_STEP * max(abs(u(z) * v(z)) for z in loop):
-            raise cli.UsageError("the loop integrals are at the finite-difference noise floor at --s %s" % args.s)
+            raise ValueError("the loop integrals are at the finite-difference noise floor at --s %s" % args.s)
         ratios = [coarse / fine for coarse, fine in zip(magnitudes, magnitudes[1:])]
     payload = {"magnitudes": magnitudes, "panels": ETA_PANELS, "ratios": ratios}
     lines = ["%s\t%s" % (key, " ".join(map(repr, payload[key]))) for key in ("panels", "magnitudes", "ratios")]

@@ -3,14 +3,16 @@
 Every subcommand prints a machine-readable payload (JSON by default, TSV
 via --format tsv) that is byte-identical across runs for identical
 arguments.  Exit codes: 0 success / all checks passed, 1 a numeric check
-failed its tolerance, 2 usage or precondition error.
+failed its tolerance, 2 usage or precondition error (main reports every
+ValueError, ArithmeticError and OSError as `error: <message>`).
 
-Importing this module loads no layer of the package.  Each subcommand
-imports the layer functions it calls when it runs, after its caps are
-checked, so a run compiles only the layers it executes, and --help, a usage
-error or a value over a cap compiles none.  The check subcommands live in
-periodhecke.checks, which loads the numeric layer and verify, and are
-imported only when a check runs.
+Importing this module loads no layer of the package.  Each exact
+subcommand imports the layer functions it calls when it runs, after its
+level and index caps are checked, so a run compiles only the layers it
+executes, and --help, a parse error or a level or index over its cap
+compiles none.  The check subcommands live in periodhecke.checks, which
+imports every layer at its top, so a check run loads them all, even one
+that then refuses its input.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ THREE_TERM_SIZE_CAP = 9000
 VERIFY_SIZE_CAP = 20000
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_rational(text):
     """--q as an extended rational whose level is within its cap."""
     from .exact_core import ExtendedRational
@@ -62,7 +60,7 @@ def _parse_rational(text):
 
 def _capped(value, cap, flag="--n"):
     if value > cap:
-        raise UsageError("%s must be at most %d, got %d" % (flag, cap, value))
+        raise ValueError("%s must be at most %d, got %d" % (flag, cap, value))
     return value
 
 
@@ -72,7 +70,7 @@ def operator_size_capped(args, index_cap, size_cap, merel=True):
     (merel=False) caps mu(n) * sigma(m), sigma(m) the divisor sum."""
     n, m = _capped(args.n, COSET_LEVEL_CAP), _capped(args.m, index_cap, "--m")
     if m < 1:
-        raise UsageError("Hecke index must be positive, got %d" % m)
+        raise ValueError("Hecke index must be positive, got %d" % m)
     from .congruence import gamma0_index
 
     if merel:
@@ -85,7 +83,7 @@ def operator_size_capped(args, index_cap, size_cap, merel=True):
         label, count = "sigma(m)", sum(divisors(m))
     size = gamma0_index(n) * count
     if size > size_cap:
-        raise UsageError(
+        raise ValueError(
             "mu(n)*%s must be at most %d, got %d for --n %d --m %d" % (label, size_cap, size, n, m)
         )
     return n, m
@@ -119,7 +117,7 @@ def _parse_word(text):
                 i += len(letter)
                 break
         else:
-            raise UsageError("word may only contain T, S and T' (got %r)" % text[i])
+            raise ValueError("word may only contain T, S and T' (got %r)" % text[i])
     return g
 
 
@@ -331,7 +329,3 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

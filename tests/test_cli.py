@@ -386,7 +386,8 @@ EXACT_LAYERS = layers("exact_core", "farey", "congruence", "hecke")
 CHECKS_LOAD = EXACT_LAYERS | CHECK_MODULES
 
 # What a fresh interpreter compiles for each subcommand: the layers that
-# its work runs, and none for an import, --help or a usage error.
+# its work runs, and none for an import, --help or an exact subcommand's
+# level over its cap.
 LOADED = [
     ("import", "import periodhecke.cli", layers()),
     ("from-import", "from periodhecke import cli", layers()),
@@ -570,6 +571,24 @@ def test_oversized_spectral_parameter_exits_two_with_a_message(capsys, argv):
 def test_check_laplace_at_a_zero_eigenvalue_exits_two(capsys, s):
     assert main(["check-laplace", "--s", s]) == 2
     assert "eigenvalue s(1-s) is 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "s,code",
+    [(s, 2) for s in ["1e-3", "1e-6", "1e-9", "0,1e-6", "-1e-7"]]
+    + [(s, 0) for s in [None, "0.5,1", "0.1", "5", "-3", "0.999999", "1.00001"]],
+    ids=str,
+)
+def test_check_laplace_at_the_finite_difference_noise_floor_exits_two(capsys, s, code):
+    # Near s = 0 the eigenvalue term is nearly 0, and the rounding of the
+    # h2 stencil outgrows it: a correct laplace_fd read order 1.01 at 1e-3.
+    assert main(["check-laplace"] + ([] if s is None else ["--s", s])) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == "error: the step-h2 Laplace errors are at the finite-difference noise floor at --s %s\n" % s
+    else:
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize("s", ["0", "0,0", "-0.0", "1e-300"])

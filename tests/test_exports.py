@@ -1,7 +1,9 @@
 import collections
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import periodhecke
 from periodhecke import congruence, exact_core, farey, hecke, numeric
@@ -69,3 +71,13 @@ assert missing == [], missing
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_the_readme_library_example_runs():
+    # The ```python blocks of README.md, run as written, so the documented
+    # API cannot drift from the code.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

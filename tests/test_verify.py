@@ -46,6 +46,21 @@ def test_rotated_column_maps_fail_the_coset_records(monkeypatch, n, m):
     assert "coset-record-membership" in failed(run_all_checks(n, m))
 
 
+def test_a_record_that_names_the_wrong_coset_fails_the_coset_records(monkeypatch):
+    # Each record names the coset after its own, so A * reps[j] * sigma^-1
+    # is not in Gamma0(n) * reps[phi]; the oracle refuses before it places
+    # a row, and the operator no longer equals it.
+    right = hecke.phi
+
+    def next_coset(table, a_mat, j):
+        rec = right(table, a_mat, j)
+        return rec._replace(phi=(rec.phi + 1) % table.mu)
+
+    monkeypatch.setattr(verify, "phi", next_coset)
+    assert verify.reference_columns(coset_table(6), 5) is None
+    assert "coset-record-membership" in failed(run_all_checks(6, 5))
+
+
 @pytest.mark.parametrize("n,m", [(5, 2), (7, 2), (9, 2), (5, 3), (2, 5), (3, 5), (6, 5), (2, 7)])
 def test_transposed_operator_fails_run_all_checks(monkeypatch, n, m):
     """The known misses are (2, 3) and (4, 3) (and (3, 2)): there every
