@@ -17,12 +17,11 @@ __version__ = "0.1.0"
 # The public names of each library module, in order; the module's `__all__` is its entry.
 _EXPORTS = {
     "exact_core": (
-        "ExtendedRational", "IntMatrix2", "FormalSum", "xgcd", "divisors", "farey_step",
-        "farey_chain", "h_tilde", "MINUS_INFINITY", "INFINITY", "ZERO", "I", "T", "S", "T_PRIME",
+        "ExtendedRational", "IntMatrix2", "FormalSum", "xgcd", "divisors", "h_tilde",
+        "MINUS_INFINITY", "INFINITY", "ZERO", "I", "T", "S", "T_PRIME",
     ),
     "farey": (
-        "level", "farey_sequence", "left_neighbor", "lns", "chain_matrices", "m_of_q",
-        "is_minimal_partition",
+        "level", "farey_sequence", "left_neighbor", "lns", "m_of_q", "is_minimal_partition",
     ),
     "congruence": (
         "gamma0_contains", "gamma0_index", "CosetTable", "coset_table", "PermutationMatrix", "rho",

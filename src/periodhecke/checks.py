@@ -1,8 +1,9 @@
 """The four check subcommands of the command line: check-three-term,
 check-laplace, check-eta-loop and verify-all.
 
-periodhecke.cli imports this module, and with it the numeric layer and
-verify, only when one of them runs.  Each cmd_* function takes the parsed
+periodhecke.cli imports this module only when one of them runs, and each
+cmd_* function imports the layers it calls only after it has read --s and
+checked its caps, as the exact subcommands do.  Each takes the parsed
 arguments of its subcommand and returns (json_of, tsv_of, code) as every
 subcommand of periodhecke.cli does: the JSON text of its payload, and its
 TSV lines, one `key<TAB>value` per field or `name<TAB>pass|FAIL<TAB>detail`
@@ -17,10 +18,6 @@ import sys
 from contextlib import contextmanager
 
 from . import _plain_number, cli
-from .congruence import coset_table
-from .hecke import vector_hecke
-from .numeric import ETA_FD_STEP, cusp_solution, eta_line_integral, hecke_image, laplace_fd, r_zeta
-from .verify import SMALLEST_S, residual_and_scale, run_all_checks, sample_points, three_term_tolerance
 
 # The fixed settings of the check commands.
 THREE_TERM_POINTS = 100
@@ -67,6 +64,11 @@ def _finite(*values):
 def cmd_check_three_term(args):
     s = _parse_complex(args.s)
     n, m = cli.operator_size_capped(args, cli.THREE_TERM_INDEX_CAP, cli.THREE_TERM_SIZE_CAP)
+    from .congruence import coset_table
+    from .hecke import vector_hecke
+    from .numeric import cusp_solution, hecke_image
+    from .verify import SMALLEST_S, residual_and_scale, sample_points, three_term_tolerance
+
     table = coset_table(n)
     psi = cusp_solution(table, s)
     if abs(s) < SMALLEST_S:  # no weight can overflow at such s, so refuse it before any work
@@ -89,6 +91,8 @@ def cmd_check_laplace(args):
     s = _parse_complex(args.s)
     if s * (1 - s) == 0:
         raise ValueError("--s must not be 0 or 1: the eigenvalue s(1-s) is 0, so no relative error exists")
+    from .numeric import laplace_fd, r_zeta
+
     zeta = 0.7
     f = lambda z: r_zeta(z, zeta) ** s
     worst_coarse = worst_fine = 0.0
@@ -122,6 +126,8 @@ def cmd_check_laplace(args):
 
 def cmd_check_eta_loop(args):
     s = _parse_complex(args.s)
+    from .numeric import ETA_FD_STEP, eta_line_integral, r_zeta
+
     u = lambda z: r_zeta(z, -1.5) ** s
     v = lambda z: r_zeta(z, 3.0) ** s
     loop = [0.2 + 0.5j, 1.2 + 0.5j, 1.2 + 1.5j, 0.2 + 1.5j, 0.2 + 0.5j]
@@ -145,6 +151,8 @@ def cmd_check_eta_loop(args):
 def cmd_verify_all(args):
     s = _parse_complex(args.s)
     n, m = cli.operator_size_capped(args, cli.VERIFY_INDEX_CAP, cli.VERIFY_SIZE_CAP)
+    from .verify import run_all_checks
+
     with _float_range(args.s):
         checks = run_all_checks(n, m, s=s)
     all_pass = all(passed for _, passed, _ in checks)

@@ -6,13 +6,12 @@ arguments.  Exit codes: 0 success / all checks passed, 1 a numeric check
 failed its tolerance, 2 usage or precondition error (main reports every
 ValueError, ArithmeticError and OSError as `error: <message>`).
 
-Importing this module loads no layer of the package.  Each exact
-subcommand imports the layer functions it calls when it runs, after its
-level and index caps are checked, so a run compiles only the layers it
-executes, and --help, a parse error or a level or index over its cap
-compiles none.  The check subcommands live in periodhecke.checks, which
-imports every layer at its top, so a check run loads them all, even one
-that then refuses its input.
+Importing this module loads no layer of the package.  Each subcommand
+imports the layer functions it calls when it runs, after its arguments
+are read and its level and index caps are checked, so a run compiles only
+the layers it executes, and --help, a parse error or a level or index
+over its cap compiles none.  The check subcommands live in
+periodhecke.checks and follow the same rule.
 """
 
 from __future__ import annotations
@@ -31,10 +30,10 @@ from . import _plain_number
 # 0.01 s; each index cap is at most 2 s at level 1.  The operator commands
 # handle mu(n) * |S_m| pairs (j, B), so that product has a cap of its own
 # (hecke-vector caps mu(n) * sigma(m), sigma(m) the divisor sum).  The
-# slowest admitted runs found take about 1.2 s (hecke-vector --n 1 --m 1440),
-# 2.3 s (check-three-term --n 3 --m 114) and 2.2 s (verify-all --n 3 --m 216)
-# as whole runs (CPU time, best of 3, Python 3.11 on a shared 2-core VM; the
-# coset figures are best of 15 fresh processes).
+# slowest admitted runs found take about 0.8 s (hecke-vector --n 1 --m 1440),
+# 1.2 s (check-three-term --n 3 --m 114) and 1.1 s (verify-all --n 3 --m 216)
+# as whole processes (CPU time, best of 7, no bytecode cache, Python 3.11 on
+# a shared 2-core VM; the coset figures are best of 15 fresh processes).
 FAREY_LEVEL_CAP = 500
 CHAIN_LEVEL_CAP = 100000
 COSET_LEVEL_CAP = 400
@@ -102,6 +101,20 @@ def _attach_dash_values(argv):
         else:
             out.append(token)
     return out
+
+
+def _parse_matrix(text):
+    """--g or --A as 'a,b,c,d', the entries row by row."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ValueError("matrix must be given as a,b,c,d")
+    try:
+        entries = [_plain_number(part) for part in parts]
+    except ValueError:
+        raise ValueError("matrix entries must be integers") from None
+    from .exact_core import IntMatrix2
+
+    return IntMatrix2(*entries)
 
 
 def _parse_word(text):
@@ -224,9 +237,7 @@ def _cmd_rho(args):
 
 
 def _cmd_sigma(args):
-    from .exact_core import IntMatrix2
-
-    g, a = IntMatrix2.from_string(args.g), IntMatrix2.from_string(args.A)
+    g, a = _parse_matrix(args.g), _parse_matrix(args.A)
     from .hecke import sigma
 
     result = sigma(g, a)

@@ -39,7 +39,7 @@ def divisors(m):
     return small + [m // d for d in reversed(small) if d * d != m]
 
 
-def farey_step(a, b):
+def _farey_step(a, b):
     """The left neighbor (p, r) of the reduced a/b, b >= 0, in the Farey
     sequence of level L = max(|a|, b).  For a != 0 it is the p/r with
     a*r - b*p = 1 whose r is largest subject to r <= L and |p| <= L: those
@@ -57,15 +57,15 @@ def farey_step(a, b):
     return (a * r - 1) // b, r
 
 
-def farey_chain(a, b):
-    """The (num, den) pairs of farey_step iterated from the reduced a/b >
+def _farey_chain(a, b):
+    """The (num, den) pairs of _farey_step iterated from the reduced a/b >
     -1/0, ascending from (-1, 0) to (a, b); the level strictly drops at
     every step until the chain reaches -1/0."""
     if b == 0 and a < 0:
         raise ValueError("left neighbor sequence starts from q > -1/0")
     chain = [(a, b)]
     while b or a > 0:
-        a, b = farey_step(a, b)
+        a, b = _farey_step(a, b)
         chain.append((a, b))
     chain.reverse()
     return chain
@@ -79,7 +79,7 @@ def _merel_keys(m):
     for d in divisors(m):
         for b in range(d):
             g = math.gcd(b, d)
-            rows = [(r * m // d, r * b - p * d) for p, r in farey_chain(b // g, d // g)]
+            rows = [(r * m // d, r * b - p * d) for p, r in _farey_chain(b // g, d // g)]
             yield from map(tuple.__add__, rows[1:], rows)
 
 
@@ -183,17 +183,6 @@ class IntMatrix2(Frozen):
 
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]
-
-    @classmethod
-    def from_string(cls, text):
-        """Parse 'a,b,c,d', the entries row by row."""
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ValueError("matrix must be given as a,b,c,d")
-        try:
-            return cls(*map(_plain_number, parts))
-        except ValueError:
-            raise ValueError("matrix entries must be integers") from None
 
     @classmethod
     def from_rows(cls, rows):

@@ -20,8 +20,8 @@ from .exact_core import (
     MINUS_INFINITY,
     INFINITY,
     ZERO,
-    farey_chain,
-    farey_step,
+    _farey_chain,
+    _farey_step,
 )
 
 __all__ = list(_EXPORTS["farey"])
@@ -54,34 +54,30 @@ def farey_sequence(n):
 
 def left_neighbor(q):
     """The largest member of the level-lev(q) Farey sequence strictly below q
-    (exact_core.farey_step)."""
-    return ExtendedRational(*farey_step(q.num, q.den))
+    (exact_core._farey_step)."""
+    return ExtendedRational(*_farey_step(q.num, q.den))
 
 
 def lns(q):
     """Left-neighbor sequence of q in Q union {+1/0}: the ascending tuple
-    -1/0 = y_0 < y_1 < ... < y_L = q of exact_core.farey_chain, so the
+    -1/0 = y_0 < y_1 < ... < y_L = q of exact_core._farey_chain, so the
     chain takes len(lns(q)) - 1 steps."""
-    return tuple(ExtendedRational(p, r) for p, r in farey_chain(q.num, q.den)[:-1]) + (q,)
+    return tuple(ExtendedRational(p, r) for p, r in _farey_chain(q.num, q.den)[:-1]) + (q,)
 
 
-def chain_matrices(q):
-    """The summands of M(q), q rational in [0, 1), in chain order.
+def m_of_q(q):
+    """The formal sum M(q), q rational in [0, 1), of one matrix per link
+    of its chain.
 
     Writing lns(q) = (a_0/b_0, ..., a_L/b_L), the l-th summand is the
     unimodular matrix (b_l -a_l; b_{l-1} -a_{l-1}); the first summand is
     always the identity, every summand has determinant 1, and no two are
-    equal.
+    equal, so each has coefficient 1.
     """
     if not 0 <= q.num < q.den:
         raise ValueError("m_of_q is defined for rationals in [0, 1)")
-    chain = farey_chain(q.num, q.den)
-    return [IntMatrix2(r, -p, r0, -p0) for (p0, r0), (p, r) in zip(chain, chain[1:])]
-
-
-def m_of_q(q):
-    """The formal sum M(q) of chain_matrices(q), q rational in [0, 1)."""
-    return FormalSum.from_matrices(chain_matrices(q))
+    chain = _farey_chain(q.num, q.den)
+    return FormalSum.from_matrices(IntMatrix2(r, -p, r0, -p0) for (p0, r0), (p, r) in zip(chain, chain[1:]))
 
 
 def is_minimal_partition(seq):

@@ -12,7 +12,7 @@ import random
 
 from .congruence import coset_table, rho
 from .exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T, T_PRIME, xgcd
-from .farey import chain_matrices, farey_sequence, left_neighbor, level
+from .farey import farey_sequence, left_neighbor, level, m_of_q
 from .hecke import gen_sm, gen_xm, h_tilde, in_xm, phi, sigma, vector_hecke
 from .numeric import _residual_and_terms, constant_lift, cusp_solution, hecke_image, transfer_residual
 
@@ -106,7 +106,7 @@ def reference_columns(table, m):
     of the chain of sigma, lands in the coset of reps[phi] * L^-1.  None when
     A * reps[j] * sigma^-1 is not in Gamma0(n) * reps[phi] or a row is reached twice."""
     n, columns, xm = table.n, {}, gen_xm(m)
-    chains = {s: [(link * s, link.inverse()) for link in chain_matrices(ExtendedRational(s.b, s.d))] for s in xm}
+    chains = {s: [(link * s, link.inverse()) for link in m_of_q(ExtendedRational(s.b, s.d)).support()] for s in xm}
     for a_mat in xm:
         for j, (_, _, c, d) in enumerate(rep.key for rep in table.reps):
             rec = phi(table, a_mat, j)

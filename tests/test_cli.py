@@ -1,7 +1,7 @@
 import argparse
+import importlib
 import json
 import re
-import sys
 from pathlib import Path
 
 import jsonschema
@@ -270,9 +270,9 @@ MUTANTS = [
 def test_a_vanishing_hecke_image_exits_two(capsys, monkeypatch):
     # With no term in any cell the image is 0, and a relative residual
     # would divide by 0.
-    from periodhecke import checks
+    from periodhecke import hecke
 
-    monkeypatch.setattr(checks, "vector_hecke", unmapped)
+    monkeypatch.setattr(hecke, "vector_hecke", unmapped)
     assert main(["check-three-term", "--n", "2", "--m", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -283,13 +283,11 @@ def test_check_failure_exits_one(capsys, monkeypatch):
     # Every check can fail at its fixed settings: each passes as it is and
     # exits 1, still printing a valid payload, with its mutant patched in
     # where the check subcommands read it.
-    from periodhecke import checks
-
     for argv, target, mutant in MUTANTS:
         assert main(argv) == 0
         validate(argv[0], json.loads(capsys.readouterr().out))
         with monkeypatch.context() as patch:
-            patch.setattr(checks, target, mutant)
+            patch.setattr(work_module(target), target, mutant)
             assert main(argv) == 1, argv[0]
         validate(argv[0], json.loads(capsys.readouterr().out))
 
@@ -305,11 +303,11 @@ LARGE_S_RUNS = [
 
 @pytest.mark.parametrize("argv", LARGE_S_RUNS, ids=" ".join)
 def test_a_correct_operator_passes_at_large_s_and_a_rotated_one_fails(capsys, monkeypatch, argv):
-    from periodhecke import checks, verify
+    from periodhecke import hecke, verify
 
     assert main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(verify if argv[0] == "verify-all" else checks, "vector_hecke", rotated)
+    monkeypatch.setattr(verify if argv[0] == "verify-all" else hecke, "vector_hecke", rotated)
     assert main(argv) == 1
     if argv[0] == "verify-all":
         assert "three-term-preserved\tFAIL\t" in capsys.readouterr().out
@@ -328,12 +326,12 @@ def test_a_correct_operator_passes_at_large_s_and_a_rotated_one_fails(capsys, mo
     ids=" ".join,
 )
 def test_an_s_where_the_tolerance_cannot_fail_a_misplaced_column_exits_two(capsys, monkeypatch, argv):
-    from periodhecke import checks, verify
+    from periodhecke import checks, hecke, verify
 
     # |s| < SMALLEST_S, where no weight can overflow, is refused before the
     # operator is built; the other refusals follow an overflow check.
     if abs(checks._parse_complex(argv[-1].split("=")[-1])) < verify.SMALLEST_S:
-        for module in (checks, verify):
+        for module in (hecke, verify):
             monkeypatch.setattr(module, "vector_hecke", forbidden("vector_hecke"))
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -365,9 +363,6 @@ def modules_loaded_by(script):
     return set(json.loads(result.stdout))
 
 
-CHECK_MODULES = {"periodhecke.numeric", "periodhecke.verify", "periodhecke.checks"}
-
-
 def run_main(argv, code=0):
     """A script that runs main(argv) and asserts its exit code, with stdout
     and stderr discarded."""
@@ -383,11 +378,11 @@ def layers(*names):
 
 
 EXACT_LAYERS = layers("exact_core", "farey", "congruence", "hecke")
-CHECKS_LOAD = EXACT_LAYERS | CHECK_MODULES
+CHECKS_LOAD = EXACT_LAYERS | layers("numeric", "verify", "checks")
 
 # What a fresh interpreter compiles for each subcommand: the layers that
-# its work runs, and none for an import, --help or an exact subcommand's
-# level over its cap.
+# its work runs, and none for an import, --help or a level or index over
+# its cap.  A check subcommand loads checks, which reads --s and the caps.
 LOADED = [
     ("import", "import periodhecke.cli", layers()),
     ("from-import", "from periodhecke import cli", layers()),
@@ -403,14 +398,24 @@ LOADED = [
     ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core")),
     ("hecke-vector", run_main(["hecke-vector", "--n", "6", "--m", "5"]), layers("exact_core", "congruence", "hecke")),
     ("check-three-term", run_main(["check-three-term", "--n", "2", "--m", "3"]), CHECKS_LOAD),
-    ("check-laplace", run_main(["check-laplace"]), CHECKS_LOAD),
-    ("check-eta-loop", run_main(["check-eta-loop"]), CHECKS_LOAD),
+    ("check-laplace", run_main(["check-laplace"]), layers("exact_core", "congruence", "numeric", "checks")),
+    ("check-eta-loop", run_main(["check-eta-loop"]), layers("exact_core", "congruence", "numeric", "checks")),
     ("verify-all", run_main(["verify-all", "--n", "1", "--m", "2"]), CHECKS_LOAD),
+    ("verify-all-over-level-cap", run_main(["verify-all", "--n", "401", "--m", "2"], 2), layers("checks")),
+    ("check-three-term-over-index-cap", run_main(["check-three-term", "--n", "2", "--m", "121"], 2), layers("checks")),
+    ("check-laplace-at-zero", run_main(["check-laplace", "--s", "0"], 2), layers("checks")),
+    # The size cap reads mu(n) and |S_m|, as hecke-vector's reads mu(n) and sigma(m).
+    (
+        "verify-all-over-size-cap",
+        run_main(["verify-all", "--n", "400", "--m", "61"], 2),
+        layers("exact_core", "congruence", "checks"),
+    ),
 ]
 
 
 EXACT_RUNS = [row for row in LOADED if row[2] <= EXACT_LAYERS]
 CHECK_RUNS = [row for row in LOADED if row[2] == CHECKS_LOAD]
+OTHER_CHECK_RUNS = [row for row in LOADED if row not in EXACT_RUNS + CHECK_RUNS]
 
 
 @pytest.mark.parametrize("script,expected", [row[1:] for row in EXACT_RUNS], ids=[row[0] for row in EXACT_RUNS])
@@ -425,8 +430,13 @@ def test_a_cold_check_run_loads_the_check_modules_and_every_exact_layer(script, 
     assert modules_loaded_by(script) == expected
 
 
-def test_a_check_subcommand_loads_the_numeric_layers():
-    assert CHECK_MODULES <= modules_loaded_by(run_main(["check-three-term", "--n", "2", "--m", "3"]))
+@pytest.mark.parametrize(
+    "script,expected", [row[1:] for row in OTHER_CHECK_RUNS], ids=[row[0] for row in OTHER_CHECK_RUNS]
+)
+def test_a_cold_check_run_loads_only_the_layers_it_calls(script, expected):
+    # The numeric checks call numeric alone, and a refused check loads
+    # only what its refusal reads.
+    assert modules_loaded_by(script) == expected
 
 
 def test_the_hecke_layer_loads_no_farey_layer():
@@ -657,16 +667,13 @@ def test_vanishing_reference_solution_exits_two(capsys):
         assert "reference solution vanishes" in captured.err
 
 
-def work_module(command, target):
-    """The module the subcommand reads target from when it runs: the check
-    commands bind their work when periodhecke.checks loads, every other
-    subcommand imports it from its home module."""
+def work_module(target):
+    """The module a subcommand reads target from when it runs: every
+    subcommand imports its work from the home module then, and
+    run_all_checks is verify's."""
     import periodhecke
-    from periodhecke import checks
 
-    if command in ("check-three-term", "verify-all"):
-        return checks
-    return sys.modules[getattr(periodhecke, target).__module__]
+    return importlib.import_module("periodhecke." + periodhecke._HOME.get(target, "verify"))
 
 
 @pytest.mark.parametrize(
@@ -687,7 +694,7 @@ def work_module(command, target):
 def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, cap):
     from periodhecke import cli
 
-    monkeypatch.setattr(work_module(command, target), target, forbidden(target))
+    monkeypatch.setattr(work_module(target), target, forbidden(target))
     limit = getattr(cli, cap)
     # A level cap is exceeded at --m 2, an index cap at level 1.
     flag, other = ("--m", ["--n", "1"]) if "INDEX" in cap else ("--n", ["--m", "2"])
@@ -713,7 +720,7 @@ def test_levels_above_the_cap_exit_two_before_any_work(capsys, monkeypatch, comm
 def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypatch, command, target, cap, label, count):
     from periodhecke import cli
 
-    monkeypatch.setattr(work_module(command, target), target, forbidden(target))
+    monkeypatch.setattr(work_module(target), target, forbidden(target))
     argv = [command, "--n", "400", "--m", "61"]
     size = 720 * count  # mu(400) * sigma(61) or |S_61|, each within its own cap
     assert size > getattr(cli, cap)
@@ -735,7 +742,7 @@ def test_operators_above_the_size_cap_exit_two_before_any_work(capsys, monkeypat
 )
 def test_a_level_below_one_exits_two_at_the_size_cap(capsys, monkeypatch, command, target):
     # The size cap reads mu(n), which is defined for n >= 1 only.
-    monkeypatch.setattr(work_module(command, target), target, forbidden(target))
+    monkeypatch.setattr(work_module(target), target, forbidden(target))
     for n in ("0", "-4"):
         assert main([command, "--n", n, "--m", "2"]) == 2
         assert capsys.readouterr() == ("", "error: level must be positive\n")
@@ -744,10 +751,10 @@ def test_a_level_below_one_exits_two_at_the_size_cap(capsys, monkeypatch, comman
 def test_the_size_cap_counts_every_member_of_x_m(capsys, monkeypatch):
     # mu(n) * sigma(m) is under the cap, but every (j, B) with B in S_m is
     # visited: the chain of each member of X_m counts with its length.
-    from periodhecke import checks, cli
+    from periodhecke import cli
 
-    monkeypatch.setattr(checks, "coset_table", forbidden("coset_table"))
-    monkeypatch.setattr(checks, "run_all_checks", forbidden("run_all_checks"))
+    for target in ("coset_table", "run_all_checks"):
+        monkeypatch.setattr(work_module(target), target, forbidden(target))
     for command, cap_name, n, m in [
         ("check-three-term", "THREE_TERM_SIZE_CAP", 19, 109),
         ("verify-all", "VERIFY_SIZE_CAP", 23, 241),
@@ -772,7 +779,7 @@ def test_rationals_above_the_level_cap_exit_two_before_any_chain(capsys, monkeyp
     # A chain takes up to level(q) + 1 steps, so the level bounds its work.
     from periodhecke import cli
 
-    monkeypatch.setattr(work_module(command, target), target, forbidden(target))
+    monkeypatch.setattr(work_module(target), target, forbidden(target))
     limit = cli.CHAIN_LEVEL_CAP
     for q in ("1/%d" % (limit + 1), "%d/7" % (limit + 1), "-%d/3" % (limit + 1)):
         assert main([command, "--q", q]) == 2

@@ -13,10 +13,11 @@ from periodhecke.exact_core import (
     T,
     T_PRIME,
     ZERO,
-    farey_chain,
-    farey_step,
+    _farey_chain,
+    _farey_step,
     xgcd,
 )
+from periodhecke.cli import _parse_matrix
 
 
 def rat(p, q=1):
@@ -96,10 +97,11 @@ def test_rational_string_round_trip():
 
 
 def test_matrix_string_reads_the_entries_row_by_row():
-    assert IntMatrix2.from_string("1,-2, +3 ,04") == IntMatrix2(1, -2, 3, 4)
+    # The command line's reader of sigma's --g and --A.
+    assert _parse_matrix("1,-2, +3 ,04") == IntMatrix2(1, -2, 3, 4)
     for text, message in [("1,2,3", "a,b,c,d"), ("1,2,3,4,5", "a,b,c,d"), ("1,2,3,4_0", "integers"), ("1,2,3,٤", "integers")]:
         with pytest.raises(ValueError, match=message):
-            IntMatrix2.from_string(text)
+            _parse_matrix(text)
 
 
 def test_moebius_examples():
@@ -217,16 +219,16 @@ def test_farey_chain_is_the_reference_left_neighbor_iteration():
     starts.remove(MINUS_INFINITY)
     assert {ZERO, INFINITY, rat(-150, 149), rat(149, 150)} <= starts
     for q in sorted(starts):
-        chain = farey_chain(q.num, q.den)
+        chain = _farey_chain(q.num, q.den)
         assert chain == reference_chain(q), q
-        assert farey_step(q.num, q.den) == chain[-2]
+        assert _farey_step(q.num, q.den) == chain[-2]
 
 
 def test_the_chain_and_the_step_reject_minus_infinity():
     with pytest.raises(ValueError, match="starts from q > -1/0"):
-        farey_chain(-1, 0)
+        _farey_chain(-1, 0)
     with pytest.raises(ValueError, match="-1/0 has no left neighbor"):
-        farey_step(-1, 0)
+        _farey_step(-1, 0)
 
 
 def test_formal_sum_merging_and_canonical_order():

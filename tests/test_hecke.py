@@ -351,8 +351,8 @@ def test_a_value_can_be_shared_since_no_attribute_can_be_assigned(make):
 def test_vector_hecke_rejects_a_chain_that_repeats_a_matrix(monkeypatch, fresh_caches):
     from periodhecke import exact_core
 
-    real = exact_core.farey_chain
-    monkeypatch.setattr(exact_core, "farey_chain", lambda a, b: real(a, b) * 2)
+    real = exact_core._farey_chain
+    monkeypatch.setattr(exact_core, "_farey_chain", lambda a, b: real(a, b) * 2)
     with pytest.raises(ArithmeticError, match="twice"):
         vector_hecke(coset_table(2), 3)
 
@@ -422,8 +422,8 @@ def test_vector_hecke_builds_one_chain_per_member_of_x_m(monkeypatch, fresh_cach
     from periodhecke import exact_core
 
     calls = []
-    real = exact_core.farey_chain
-    monkeypatch.setattr(exact_core, "farey_chain", lambda a, b: calls.append((a, b)) or real(a, b))
+    real = exact_core._farey_chain
+    monkeypatch.setattr(exact_core, "_farey_chain", lambda a, b: calls.append((a, b)) or real(a, b))
     vector_hecke(coset_table(n), m)
     assert len(calls) == len(gen_xm(m))
 

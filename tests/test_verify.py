@@ -209,9 +209,9 @@ def test_a_nan_at_a_later_point_fails_three_term_preserved(monkeypatch):
 
 
 def test_a_nan_at_a_later_point_exits_check_three_term_with_two(capsys, monkeypatch):
-    from periodhecke import checks, cli
+    from periodhecke import cli, numeric
 
-    monkeypatch.setattr(checks, "hecke_image", nan_beyond(5))
+    monkeypatch.setattr(numeric, "hecke_image", nan_beyond(5))
     assert cli.main(["check-three-term", "--n", "2", "--m", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
