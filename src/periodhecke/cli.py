@@ -9,15 +9,17 @@ ValueError, ArithmeticError and OSError as `error: <message>`).
 Importing this module loads no layer of the package.  Each subcommand
 imports the layer functions it calls when it runs, after its arguments
 are read and its level and index caps are checked, so a run compiles only
-the layers it executes, and --help, a parse error or a level or index
-over its cap compiles none.  The check subcommands live in
-periodhecke.checks and follow the same rule.
+the layers it executes.  --help, a malformed word, matrix, integer or --s,
+and a level or index over its cap compile none; a malformed --q loads
+exact_core, which reads it, and a --q over its level cap farey too.  The
+check subcommands live in periodhecke.checks and follow the same rule.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import _plain_number
@@ -25,9 +27,9 @@ from . import _plain_number
 # Largest accepted levels and Hecke indices, so that no command runs for
 # minutes.  `farey --n` lists about 1.2 n^2 rationals (3 MB of JSON at 500).
 # A chain from --q takes at most level(q) + 1 steps, so the level
-# max(|a|, b) of --q is capped (mq --q 99999/100000 takes about 1.7 s).
+# max(|a|, b) of --q is capped (mq --q 99999/100000 takes about 0.6 s).
 # A level-400 coset table takes about 0.6 ms and its representatives about
-# 0.01 s; each index cap is at most 2 s at level 1.  The operator commands
+# 0.01 s; each index cap is at most 1 s at level 1.  The operator commands
 # handle mu(n) * |S_m| pairs (j, B), so that product has a cap of its own
 # (hecke-vector caps mu(n) * sigma(m), sigma(m) the divisor sum).  The
 # slowest admitted runs found take about 0.8 s (hecke-vector --n 1 --m 1440),
@@ -50,9 +52,10 @@ VERIFY_SIZE_CAP = 20000
 def _parse_rational(text):
     """--q as an extended rational whose level is within its cap."""
     from .exact_core import ExtendedRational
-    from .farey import level
 
     q = ExtendedRational.from_string(text)
+    from .farey import level
+
     _capped(level(q), CHAIN_LEVEL_CAP, "the level max(|a|, b) of --q")
     return q
 
@@ -104,33 +107,26 @@ def _attach_dash_values(argv):
 
 
 def _parse_matrix(text):
-    """--g or --A as 'a,b,c,d', the entries row by row."""
+    """--g or --A as 'a,b,c,d': the four entries row by row."""
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("matrix must be given as a,b,c,d")
     try:
-        entries = [_plain_number(part) for part in parts]
+        return [_plain_number(part) for part in parts]
     except ValueError:
         raise ValueError("matrix entries must be integers") from None
-    from .exact_core import IntMatrix2
-
-    return IntMatrix2(*entries)
 
 
 def _parse_word(text):
     """A product of the generators written as a string of T, S and T'."""
+    end = re.match(r"(T'|T|S)*", text).end()
+    if end < len(text):
+        raise ValueError("word may only contain T, S and T' (got %r)" % text[end])
     from .exact_core import I, S, T, T_PRIME
 
-    g = I
-    i = 0
-    while i < len(text):
-        for letter, mat in (("T'", T_PRIME), ("T", T), ("S", S)):
-            if text.startswith(letter, i):
-                g = g * mat
-                i += len(letter)
-                break
-        else:
-            raise ValueError("word may only contain T, S and T' (got %r)" % text[i])
+    g, mats = I, {"T'": T_PRIME, "T": T, "S": S}
+    for letter in re.findall(r"T'|T|S", text):
+        g = g * mats[letter]
     return g
 
 
@@ -238,9 +234,10 @@ def _cmd_rho(args):
 
 def _cmd_sigma(args):
     g, a = _parse_matrix(args.g), _parse_matrix(args.A)
+    from .exact_core import IntMatrix2
     from .hecke import sigma
 
-    result = sigma(g, a)
+    result = sigma(IntMatrix2(*g), IntMatrix2(*a))
     return lambda: dumps({"sigma": result.rows()}), lambda: [_TSV_MATRIX % result.key], 0
 
 
@@ -331,7 +328,7 @@ def main(argv=None):
         # requested one is called.
         json_of, tsv_of, code = args.func(args)
         text = json_of() if args.format == "json" else "\n".join(tsv_of())
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         else:

@@ -15,12 +15,10 @@ from periodhecke.exact_core import (
     ExtendedRational,
     FormalSum,
     I,
-    INFINITY,
     IntMatrix2,
     MINUS_INFINITY,
     S,
     T,
-    xgcd,
 )
 from periodhecke.farey import farey_sequence, left_neighbor, level
 from periodhecke.hecke import (
@@ -44,22 +42,13 @@ from periodhecke.numeric import (
 )
 from periodhecke.verify import _random_word, residual_and_scale
 
+from helpers import brute_force_farey, random_gamma0_element
+
 PASS_LINE = "ACCEPTANCE %2d PASS - %s"
 
 
 def _report(number, text):
     print(PASS_LINE % (number, text))
-
-
-def brute_force_farey(n):
-    if n == 0:
-        return [MINUS_INFINITY, ExtendedRational(0), INFINITY]
-    members = set()
-    for u in range(-n, n + 1):
-        for v in range(n + 1):
-            if (u, v) != (0, 0):
-                members.add(ExtendedRational(u, v))
-    return sorted(members)
 
 
 def test_criterion_01_scalar_operator_equals_enumeration():
@@ -145,17 +134,6 @@ def test_criterion_05_entry_conditions():
     _report(5, "nonnegativity and dominance hold for all entries (%d matrices)" % checked)
 
 
-def _random_gamma0(rng, n):
-    while True:
-        c = n * rng.randint(-5, 5)
-        d = rng.randint(-20, 20)
-        g, x, y = xgcd(d, -c)
-        if g != 1:
-            continue
-        t = rng.randint(-3, 3)
-        return IntMatrix2(x + t * c, y + t * d, c, d)
-
-
 def test_criterion_06_rho_homomorphism():
     for n in range(1, 13):
         table = coset_table(n)
@@ -164,7 +142,7 @@ def test_criterion_06_rho_homomorphism():
             g, gp = _random_word(rng), _random_word(rng)
             assert rho(table, gp) @ rho(table, g) == rho(table, gp * g)
         for _ in range(50):
-            gamma = _random_gamma0(rng, n)
+            gamma = random_gamma0_element(rng, n)
             assert rho(table, gamma).image[0] == 0
     _report(6, "rho is a homomorphism fixing the identity coset for n <= 12")
 

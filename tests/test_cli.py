@@ -156,6 +156,14 @@ def test_an_unwritable_out_exits_two_with_a_message(tmp_path, capsys, target):
     assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
 
 
+def test_an_empty_out_path_exits_two_with_a_message(capsys):
+    # An empty path is no file, not a request for stdout.
+    assert main(["hecke-vector", "--n", "1", "--m", "1", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "''" in captured.err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["hecke-vector", "--n", "2", "--m", "0"]) == 2
     assert main(["lns", "--q", "1/2/3"]) == 2
@@ -388,6 +396,13 @@ LOADED = [
     ("from-import", "from periodhecke import cli", layers()),
     ("help", run_main(["--help"]), layers()),
     ("over-cap", run_main(["cosets", "--n", "401"], 2), layers()),
+    # Every value is read before a layer is imported: --q by exact_core's
+    # p/q reader, and its level by farey.
+    ("malformed-word", run_main(["rho", "--n", "4", "--word", "TXT"], 2), layers()),
+    ("malformed-second-matrix", run_main(["sigma", "--g", "1,0,0,1", "--A", "1,0,0"], 2), layers()),
+    ("malformed-q", run_main(["lns", "--q", "abc"], 2), layers("exact_core")),
+    ("decimal-q", run_main(["mq", "--q", "3.0/7"], 2), layers("exact_core")),
+    ("q-over-level-cap", run_main(["lns", "--q", "100001/1"], 2), layers("exact_core", "farey")),
     ("farey", run_main(["farey", "--n", "5"]), layers("exact_core", "farey")),
     ("lns", run_main(["lns", "--q", "5/13"]), layers("exact_core", "farey")),
     ("mq", run_main(["mq", "--q", "5/13"]), layers("exact_core", "farey")),

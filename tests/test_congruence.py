@@ -19,17 +19,7 @@ from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME, xgcd
 from periodhecke.hecke import vector_hecke
 from periodhecke.verify import _random_word
 
-
-def random_gamma0_element(rng, n):
-    """A determinant-1 matrix with lower-left entry divisible by n."""
-    while True:
-        c = n * rng.randint(-5, 5)
-        d = rng.randint(-20, 20)
-        g, x, y = xgcd(d, -c)
-        if g != 1:
-            continue
-        t = rng.randint(-3, 3)
-        return IntMatrix2(x + t * c, y + t * d, c, d)
+from helpers import random_gamma0_element
 
 
 def brute_force_coset_count(n, max_words=20000):

@@ -20,21 +20,7 @@ from periodhecke.farey import (
     m_of_q,
 )
 
-
-def rat(p, q=1):
-    return ExtendedRational(p, q)
-
-
-def brute_force_farey(n):
-    """Enumeration oracle straight from the definition."""
-    if n == 0:
-        return [MINUS_INFINITY, ZERO, INFINITY]
-    members = set()
-    for u in range(-n, n + 1):
-        for v in range(n + 1):
-            if (u, v) != (0, 0):
-                members.add(rat(u, v))
-    return sorted(members)
+from helpers import brute_force_farey, rat
 
 
 def test_farey_base_cases():
