@@ -2,12 +2,15 @@
 congruence subgroups Gamma0(n), plus the numeric checks that verify them.
 
 The package namespace is the table `_EXPORTS` below, the only list of
-the public names: each of the five library modules sets its `__all__`
+the public names: each of the six library modules sets its `__all__`
 from its own entry.  It is resolved lazily (PEP 562): importing the
-package or one of its submodules loads nothing else, and a public name
-loads its home module on first access and is then cached here.  So a CLI
-run that never touches the numeric layer never compiles it.  Every number
-on the command line is read by `_plain_number` below, which loads no layer.
+package loads no module, and a public name loads its home module on first
+access and is then cached here.  A submodule loads only what it imports
+at its top: cli and exact_core load nothing else, the other library
+modules exact_core (numeric congruence too), checks cli, and verify every
+library module.  So a CLI run that never touches the numeric layer never
+compiles it.  Every number on the command line is read by `_plain_number`
+below, which loads no layer.
 """
 
 import importlib
@@ -27,10 +30,10 @@ _EXPORTS = {
         "gamma0_contains", "gamma0_index", "CosetTable", "coset_table", "PermutationMatrix", "rho",
         "coset_projection",
     ),
-    "hecke": (
+    "bookkeeping": (
         "gen_xm", "in_xm", "xm_representative", "sigma", "HeckeCosetRecord", "phi", "gen_sm",
-        "in_sm", "HeckeOperatorMatrix", "vector_hecke",
     ),
+    "hecke": ("in_sm", "HeckeOperatorMatrix", "vector_hecke"),
     "numeric": (
         "slash_eval", "constant_lift", "cusp_solution", "three_term_residual", "transfer_residual",
         "r_zeta", "laplace_fd", "eta_line_integral", "apply_hecke_numeric", "hecke_image",

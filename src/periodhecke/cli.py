@@ -235,7 +235,7 @@ def _cmd_rho(args):
 def _cmd_sigma(args):
     g, a = _parse_matrix(args.g), _parse_matrix(args.A)
     from .exact_core import IntMatrix2
-    from .hecke import sigma
+    from .bookkeeping import sigma
 
     result = sigma(IntMatrix2(*g), IntMatrix2(*a))
     return lambda: dumps({"sigma": result.rows()}), lambda: [_TSV_MATRIX % result.key], 0
@@ -260,7 +260,7 @@ def _cmd_hecke_vector(args):
 
 def _cmd_sm(args):
     m = _capped(args.m, SM_INDEX_CAP, "--m")
-    from .hecke import gen_sm
+    from .bookkeeping import gen_sm
 
     mats = gen_sm(m)
     return lambda: dumps([g.rows() for g in mats]), lambda: [_TSV_MATRIX % g.key for g in mats], 0

@@ -10,9 +10,11 @@ x*d mod n/g fix the point, and a table finds its coset from per-residue
 and per-divisor lists built once (Cremona, Algorithms for Modular
 Elliptic Curves, 2.2).  A canonical table numbers the cosets by their
 keys; the minimal-entry representatives are searched only when reps is
-read.  The lookup works verbatim for determinant -1 matrices as well
-(Gamma0(n) and diag(1,-1) generate a group with the same coset structure),
-which the numeric layer needs for one transfer-equation word.
+read, by bookkeeping's sweep, which that read imports, so rho and the
+operator assembly never compile it.  The lookup works verbatim for
+determinant -1 matrices as well (Gamma0(n) and diag(1,-1) generate a
+group with the same coset structure), which the numeric layer needs for
+one transfer-equation word.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from functools import lru_cache
 
 from . import _EXPORTS
-from .exact_core import Frozen, I, IntMatrix2, divisors, xgcd
+from .exact_core import Frozen, I, IntMatrix2, divisors
 
 __all__ = list(_EXPORTS["congruence"])
 
@@ -74,63 +76,6 @@ def _p1_keys(n):
     return keys
 
 
-def _minimal_reps(table):
-    """For every coset index of a canonical table, the (a, b, c, d) of the
-    determinant-1 matrix in that coset minimizing max(|a|,|b|,|c|,|d|),
-    ties broken lexicographically.
-
-    Lemma: every primitive (c, d) has a lift (a b; c d) with |a|, |b| <= B
-    = max(|c|, |d|).  B = 1 and c = 0 (then d = +-1) check by hand;
-    otherwise a = d^-1 mod c taken in [-|c|/2, |c|/2] gives
-    |b| = |a*d - 1| / |c| <= B/2 + 1 <= B.  So a coset's representative
-    is the least (a, b, c, d) offered by the first shell max(|c|, |d|) = B
-    that reaches it.  Of the lifts (x + t*c, y + t*d), only t within 1 of
-    the pivot -x/c (or -y/d) of the entry with |.| = B can qualify, so t
-    runs from floor(pivot) - 1 to floor(pivot) + 1.  Only pairs of the
-    classes (gcd(c, n), gcd(d, n)) = (g, e) with cosets unreached,
-    phi(n / (g*e)) at first, are visited, and the sweep stops when none is
-    left.  (c, d) and (-c, -d) share their coset and their lifts are
-    negations of each other, so each shell visits the pairs (c, B) and
-    (B, d) and offers both signs; the table's rows locate each pair."""
-    n, lookup = table.n, table._rows
-    parts = divisors(n)
-    pending = {(g, e): sum(math.gcd(u, n // g // e) == 1 for u in range(n // g // e))
-               for g in parts for e in parts if math.gcd(g, e) == 1}
-    signed = {g: [0] if g == n else [] for g in parts}  # the x with gcd(x, n) == g, |x| < bound
-    best = {}
-    bound = 0
-    while pending:
-        bound += 1
-        edge = math.gcd(bound, n)
-        rows = {g for g, e in pending if e == edge}
-        columns = {e for g, e in pending if g == edge}
-        pairs = [(c, bound) for g in rows for c in signed[g]]
-        signed[edge] += (-bound, bound)
-        pairs += [(bound, d) for e in columns for d in signed[e]]
-        offered = {}
-        for c, d in pairs:
-            if math.gcd(c, d) != 1:
-                continue
-            inverse, step, slots, _ = lookup[c % n]
-            coset = slots[inverse * d % step]
-            if coset in best:
-                continue
-            # a*d - b*c = 1 with (a, b) = (x + t*c, y + t*d).
-            _, x, y = xgcd(d, -c)
-            pivot = -x // c if abs(c) == bound else -y // d
-            for t in range(pivot - 1, pivot + 2):
-                a, b = x + t * c, y + t * d
-                if abs(a) <= bound and abs(b) <= bound:
-                    least = min((a, b, c, d), (-a, -b, -c, -d))
-                    if coset not in offered or least < offered[coset]:
-                        offered[coset] = least
-        for _, _, c, d in offered.values():
-            pending[math.gcd(c, n), math.gcd(d, n)] -= 1
-        best.update(offered)
-        pending = {ge: left for ge, left in pending.items() if left}
-    return best
-
-
 class CosetTable(Frozen):
     """The right cosets of Gamma0(n) in SL(2,Z), numbered, with one bottom
     row (c, d) per coset in points and a representative per coset in reps.
@@ -179,8 +124,11 @@ class CosetTable(Frozen):
     def reps(self):
         """One determinant-1 matrix per coset, in index order: the explicit
         list, or for a canonical table the identity and then the minimal
-        lift of each later coset, searched once on the first read."""
+        lift of each later coset, searched once on the first read by
+        bookkeeping._minimal_reps, which that read imports."""
         if self._reps is None:
+            from .bookkeeping import _minimal_reps
+
             best = _minimal_reps(self)
             object.__setattr__(self, "_reps", (I,) + tuple(IntMatrix2(*best[j]) for j in range(1, self.mu)))
         return self._reps

@@ -1,89 +1,20 @@
-"""The upper-triangular sets X_m and their normal form, the coset
-bookkeeping maps sigma_g and phi_A, the set S_m by enumeration, and the
-assembly of the vector-valued Hecke operator matrix for Gamma0(n) from
-Merel's walk of S_m.  That walk and the scalar operator h_tilde live in
+"""The entry conditions of S_m and the assembly of the vector-valued
+Hecke operator matrix for Gamma0(n) from Merel's walk of S_m on the points
+of P^1(Z/nZ).  That walk and the scalar operator h_tilde live in
 exact_core, beside the integer Farey chains they are built on; h_tilde is
-bound here as well, so hecke.h_tilde names the same function.
+bound here as well, so hecke.h_tilde names the same function.  The paper's
+bookkeeping over X_m (sigma_g, phi_A) and S_m by enumeration live in
+bookkeeping, which the assembly never reads.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from . import _EXPORTS
-from .exact_core import FormalSum, Frozen, IntMatrix2, _merel_keys, divisors, h_tilde, xgcd
+from .exact_core import FormalSum, Frozen, IntMatrix2, _merel_keys, h_tilde
 
 __all__ = list(_EXPORTS["hecke"])
-
-
-def gen_xm(m):
-    """All (a b; 0 d) with a*d = m, a,d > 0, 0 <= b < d, in canonical order.
-
-    These are the upper-triangular representatives of the left cosets
-    SL(2,Z) \\ Mat_m; there are sigma(m) = sum of divisors of them.
-    """
-    if m < 1:
-        raise ValueError("determinant must be positive")
-    return [IntMatrix2(m // d, b, 0, d) for d in reversed(divisors(m)) for b in range(d)]
-
-
-def in_xm(g, m=None):
-    """True iff g = (a b; 0 d) with d > b >= 0 and (optionally) det == m."""
-    if g.c != 0 or g.d <= g.b or g.b < 0 or g.a <= 0:
-        return False
-    return m is None or g.det == m
-
-
-def xm_representative(g):
-    """The unique member of X_det(g) in the left coset SL(2,Z) * g.
-
-    Column-style Hermite-type reduction: clear the lower-left entry with a
-    determinant-1 row operation, then reduce the upper-right entry modulo
-    the lower-right one.
-    """
-    m = g.det
-    if m <= 0:
-        raise ValueError("reduction to X_m needs positive determinant, got %d" % m)
-    gg, x, y = xgcd(g.a, g.c)
-    # (x y; -c/g a/g) has determinant 1 and sends the first column to (g, 0).
-    a, b = gg, x * g.b + y * g.d
-    d = m // gg
-    return IntMatrix2(a, b % d, 0, d)
-
-
-def sigma(g, a_mat):
-    """The unique A' in X_m with A * g * A'^-1 in SL(2,Z), for unimodular g.
-
-    Computed as the X_m normal form of A*g; the inverse map is sigma with
-    g^-1 in place of g.
-    """
-    if g.det != 1:
-        raise ValueError("sigma is defined for determinant-1 matrices")
-    if not in_xm(a_mat):
-        raise ValueError("%r is not an X_m representative" % (a_mat,))
-    return xm_representative(a_mat * g)
-
-
-HeckeCosetRecord = namedtuple("HeckeCosetRecord", "a_mat j phi sigma")
-HeckeCosetRecord.__doc__ = """One step of coset bookkeeping: A * reps[j] lies in
-Gamma0(n) * reps[phi] * sigma with sigma in X_m."""
-
-
-def phi(table, a_mat, j):
-    """Locate the coset hit by A * reps[j]: returns the record with
-    sigma = sigma_{reps[j]}(A) and phi the index of the coset of
-    A * reps[j] * sigma^-1, in integer arithmetic.
-
-    A * reps[j] * sigma^-1 = A * reps[j] * adj(sigma) / m; every entry must
-    divide exactly, and the bottom row of the quotient names the coset.
-    """
-    s = sigma(table.reps[j], a_mat)
-    m = a_mat.det
-    product = a_mat * table.reps[j] * s.adjugate()
-    if any(entry % m for entry in product.key):
-        raise ArithmeticError("A * reps[%d] * adj(%r) is not divisible by %d" % (j, s, m))
-    return HeckeCosetRecord(a_mat, j, table.index_of_row(product.c // m, product.d // m), s)
 
 
 def in_sm(g, m=None):
@@ -92,28 +23,6 @@ def in_sm(g, m=None):
     if not (g.a > g.c >= 0 and g.d > g.b >= 0):
         return False
     return m is None or g.det == m
-
-
-def gen_sm(m):
-    """All matrices (a b; c d) of determinant m with a > c >= 0 and
-    d > b >= 0, in canonical order, by bounded enumeration.
-
-    The constraints force a + d <= m + 1 and bc = ad - m >= 0, which bound
-    a and d; c = 0 needs bc = 0, and c > 0 needs b = bc/c < d, so c > bc/d.
-    """
-    if m < 1:
-        raise ValueError("determinant must be positive")
-    mats = []
-    for a in range(1, m + 1):
-        for d in range(-(-m // a), m + 2 - a):
-            bc = a * d - m
-            if bc == 0:
-                mats.extend(IntMatrix2(a, b, 0, d) for b in range(d))
-            for c in range(bc // d + 1, a):
-                if bc % c == 0:
-                    mats.append(IntMatrix2(a, bc // c, c, d))
-    mats.sort(key=lambda g: g.key)
-    return mats
 
 
 class HeckeOperatorMatrix(Frozen):
@@ -140,6 +49,9 @@ class HeckeOperatorMatrix(Frozen):
             for j, row in enumerate(columns):
                 for i, cell in enumerate(row):
                     for mat in cell:
+                        if not isinstance(mat, IntMatrix2):
+                            message = "operator matrices must be IntMatrix2, got cell (%d, %d) = %r"
+                            raise TypeError(message % (j, i, cell))
                         image = maps.get(mat)
                         if image is None:
                             image = maps[mat] = [None] * len(columns)
@@ -155,6 +67,8 @@ class HeckeOperatorMatrix(Frozen):
         mu = len(columns[0][1])
         valid = set(range(mu)) | {None}
         for mat, image in maps.items():
+            if not isinstance(mat, IntMatrix2):
+                raise TypeError("operator matrices must be IntMatrix2, got %r" % (mat,))
             if not in_sm(mat, m):
                 raise ValueError("matrix %r breaks the determinant-%d entry conditions" % (mat, m))
             if len(image) != mu or not valid.issuperset(image):

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from periodhecke.bookkeeping import gen_sm, gen_xm, phi, sigma
 from periodhecke.congruence import coset_table, gamma0_contains, rho
 from periodhecke.exact_core import (
     ExtendedRational,
@@ -19,17 +20,10 @@ from periodhecke.exact_core import (
     MINUS_INFINITY,
     S,
     T,
+    divisors,
 )
 from periodhecke.farey import farey_sequence, left_neighbor, level
-from periodhecke.hecke import (
-    divisors,
-    gen_sm,
-    gen_xm,
-    h_tilde,
-    phi,
-    sigma,
-    vector_hecke,
-)
+from periodhecke.hecke import h_tilde, vector_hecke
 from periodhecke.numeric import (
     constant_lift,
     cusp_solution,

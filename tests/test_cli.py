@@ -13,7 +13,8 @@ from periodhecke.congruence import gamma0_index
 from periodhecke.congruence import coset_table
 from periodhecke.exact_core import ExtendedRational, FormalSum, S, T, divisors
 from periodhecke.farey import m_of_q
-from periodhecke.hecke import gen_sm, h_tilde, vector_hecke
+from periodhecke.bookkeeping import gen_sm
+from periodhecke.hecke import h_tilde, vector_hecke
 from periodhecke.numeric import eta_line_integral, laplace_fd
 
 from mutants import forbidden, rotated, unmapped
@@ -385,7 +386,7 @@ def layers(*names):
     return {"periodhecke", "periodhecke.cli"} | {"periodhecke." + name for name in names}
 
 
-EXACT_LAYERS = layers("exact_core", "farey", "congruence", "hecke")
+EXACT_LAYERS = layers("exact_core", "farey", "congruence", "bookkeeping", "hecke")
 CHECKS_LOAD = EXACT_LAYERS | layers("numeric", "verify", "checks")
 
 # What a fresh interpreter compiles for each subcommand: the layers that
@@ -406,10 +407,10 @@ LOADED = [
     ("farey", run_main(["farey", "--n", "5"]), layers("exact_core", "farey")),
     ("lns", run_main(["lns", "--q", "5/13"]), layers("exact_core", "farey")),
     ("mq", run_main(["mq", "--q", "5/13"]), layers("exact_core", "farey")),
-    ("cosets", run_main(["cosets", "--n", "12"]), layers("exact_core", "congruence")),
+    ("cosets", run_main(["cosets", "--n", "12"]), layers("exact_core", "congruence", "bookkeeping")),
     ("rho", run_main(["rho", "--n", "12", "--word", "TST'"]), layers("exact_core", "congruence")),
-    ("sigma", run_main(["sigma", "--g", "0,-1,1,0", "--A", "1,0,0,2"]), layers("exact_core", "hecke")),
-    ("sm", run_main(["sm", "--m", "12"]), layers("exact_core", "hecke")),
+    ("sigma", run_main(["sigma", "--g", "0,-1,1,0", "--A", "1,0,0,2"]), layers("exact_core", "bookkeeping")),
+    ("sm", run_main(["sm", "--m", "12"]), layers("exact_core", "bookkeeping")),
     ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core")),
     ("hecke-vector", run_main(["hecke-vector", "--n", "6", "--m", "5"]), layers("exact_core", "congruence", "hecke")),
     ("check-three-term", run_main(["check-three-term", "--n", "2", "--m", "3"]), CHECKS_LOAD),

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from periodhecke import congruence
+from periodhecke import bookkeeping
+from periodhecke.bookkeeping import _minimal_reps
 from periodhecke.congruence import (
     CosetTable,
     PermutationMatrix,
-    _minimal_reps,
     _p1_keys,
     coset_projection,
     coset_table,
@@ -180,7 +180,7 @@ def test_rho_and_vector_hecke_never_build_the_representatives(monkeypatch):
     def no_search(table):
         raise AssertionError("the representatives of level %d were searched" % table.n)
 
-    monkeypatch.setattr(congruence, "_minimal_reps", no_search)
+    monkeypatch.setattr(bookkeeping, "_minimal_reps", no_search)
     for n, m in cases:
         table = CosetTable(n)
         assert [rho(table, g) for g in words] == expected[n, m][0], n

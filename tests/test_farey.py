@@ -211,7 +211,7 @@ def test_positivity_of_chain_rows():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
 def test_nonnegativity_and_dominance_of_chain_times_triangular(m):
-    from periodhecke.hecke import gen_xm
+    from periodhecke.bookkeeping import gen_xm
 
     for a_mat in gen_xm(m):
         q = ExtendedRational(a_mat.b, a_mat.d)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from periodhecke.bookkeeping import gen_sm, gen_xm, in_xm, phi, sigma, xm_representative
 from periodhecke.congruence import (
     CosetTable,
     PermutationMatrix,
@@ -11,20 +12,8 @@ from periodhecke.congruence import (
     gamma0_contains,
     rho,
 )
-from periodhecke.exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T, T_PRIME
-from periodhecke.hecke import (
-    HeckeOperatorMatrix,
-    divisors,
-    gen_sm,
-    gen_xm,
-    h_tilde,
-    in_sm,
-    in_xm,
-    phi,
-    sigma,
-    vector_hecke,
-    xm_representative,
-)
+from periodhecke.exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T, T_PRIME, divisors
+from periodhecke.hecke import HeckeOperatorMatrix, h_tilde, in_sm, vector_hecke
 from periodhecke.verify import reference_columns
 
 import mutants
@@ -327,6 +316,12 @@ def test_hecke_operator_matrix_rejects_bad_column_maps():
         HeckeOperatorMatrix(1, 2, [(IntMatrix2(1, 0, 1, 2), (0,))])  # a > c fails
     with pytest.raises(ValueError, match="at least one matrix"):
         HeckeOperatorMatrix(1, 2, [])
+    # A matrix given as a tuple, in a later column or in the first one,
+    # which would otherwise be read as dense cells.
+    with pytest.raises(TypeError, match=r"IntMatrix2, got \(2, 0, 0, 1\)"):
+        HeckeOperatorMatrix(1, 2, [(IntMatrix2(1, 0, 0, 2), (0,)), ((2, 0, 0, 1), (0,))])
+    with pytest.raises(TypeError, match=r"IntMatrix2, got cell \(0, 0\) = \(1, 0, 0, 2\)"):
+        HeckeOperatorMatrix(1, 2, [((1, 0, 0, 2), (0,)), (IntMatrix2(2, 0, 0, 1), (0,))])
 
 
 @pytest.mark.parametrize(
@@ -459,15 +454,15 @@ def test_vector_hecke_rejects_index_zero_on_every_call():
 
 
 def test_a_wrong_sigma_fails_the_exact_division(monkeypatch):
-    from periodhecke import hecke
+    from periodhecke import bookkeeping
 
-    real = hecke.xgcd
+    real = bookkeeping.xgcd
 
     def off_by_one(a, b):
         g, x, y = real(a, b)
         return g, x + 1, y
 
-    monkeypatch.setattr(hecke, "xgcd", off_by_one)
+    monkeypatch.setattr(bookkeeping, "xgcd", off_by_one)
     with pytest.raises(ArithmeticError, match="not divisible by 3"):
         phi(coset_table(1), IntMatrix2(1, 1, 0, 3), 0)
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from periodhecke import exact_core, hecke, verify
+from periodhecke import bookkeeping, exact_core, verify
 from periodhecke.congruence import PermutationMatrix, coset_table, rho
 from periodhecke.exact_core import ExtendedRational, FormalSum, IntMatrix2
 from periodhecke.hecke import vector_hecke
@@ -50,7 +50,7 @@ def test_a_record_that_names_the_wrong_coset_fails_the_coset_records(monkeypatch
     # Each record names the coset after its own, so A * reps[j] * sigma^-1
     # is not in Gamma0(n) * reps[phi]; the oracle refuses before it places
     # a row, and the operator no longer equals it.
-    right = hecke.phi
+    right = bookkeeping.phi
 
     def next_coset(table, a_mat, j):
         rec = right(table, a_mat, j)
@@ -220,8 +220,8 @@ def test_a_nan_at_a_later_point_exits_check_three_term_with_two(capsys, monkeypa
 
 def test_a_divisor_helper_that_drops_m_fails_xm_size(monkeypatch, fresh_caches):
     # The helper is wrong wherever it is bound, as a bug in it would be.
-    real = hecke.divisors
-    for module in (exact_core, hecke, verify):
+    real = exact_core.divisors
+    for module in (exact_core, bookkeeping, verify):
         if hasattr(module, "divisors"):
             monkeypatch.setattr(module, "divisors", lambda m: real(m)[:-1])
     assert "xm-size" in failed(run_all_checks(1, 6))
