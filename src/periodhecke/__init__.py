@@ -2,15 +2,18 @@
 congruence subgroups Gamma0(n), plus the numeric checks that verify them.
 
 The package namespace is the table `_EXPORTS` below, the only list of
-the public names: each of the six library modules sets its `__all__`
+the public names: each of the seven library modules sets its `__all__`
 from its own entry.  It is resolved lazily (PEP 562): importing the
 package loads no module, and a public name loads its home module on first
 access and is then cached here.  A submodule loads only what it imports
 at its top: cli and exact_core load nothing else, the other library
 modules exact_core (numeric congruence too), checks cli, and verify every
-library module.  So a CLI run that never touches the numeric layer never
-compiles it.  Every number on the command line is read by `_plain_number`
-below, which loads no layer.
+library module.  A few functions load a module when they are called:
+IntMatrix2.moebius loads farey, and farey.m_of_q and
+HeckeOperatorMatrix.row_sum load formal.  So a coset-layer run compiles
+neither rationals nor formal sums, and a CLI run that never touches the
+numeric layer never compiles it.  Every number on the command line is
+read by `_plain_number` below, which loads no layer.
 """
 
 import importlib
@@ -19,13 +22,12 @@ __version__ = "0.1.0"
 
 # The public names of each library module, in order; the module's `__all__` is its entry.
 _EXPORTS = {
-    "exact_core": (
-        "ExtendedRational", "IntMatrix2", "FormalSum", "xgcd", "divisors", "h_tilde",
-        "MINUS_INFINITY", "INFINITY", "ZERO", "I", "T", "S", "T_PRIME",
-    ),
+    "exact_core": ("IntMatrix2", "xgcd", "divisors", "I", "T", "S", "T_PRIME"),
     "farey": (
-        "level", "farey_sequence", "left_neighbor", "lns", "m_of_q", "is_minimal_partition",
+        "ExtendedRational", "MINUS_INFINITY", "INFINITY", "ZERO", "level", "farey_sequence",
+        "left_neighbor", "lns", "m_of_q", "is_minimal_partition",
     ),
+    "formal": ("FormalSum", "h_tilde"),
     "congruence": (
         "gamma0_contains", "gamma0_index", "CosetTable", "coset_table", "PermutationMatrix", "rho",
         "coset_projection",

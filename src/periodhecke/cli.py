@@ -10,9 +10,9 @@ Importing this module loads no layer of the package.  Each subcommand
 imports the layer functions it calls when it runs, after its arguments
 are read and its level and index caps are checked, so a run compiles only
 the layers it executes.  --help, a malformed word, matrix, integer or --s,
-and a level or index over its cap compile none; a malformed --q loads
-exact_core, which reads it, and a --q over its level cap farey too.  The
-check subcommands live in periodhecke.checks and follow the same rule.
+and a level or index over its cap compile none; a malformed --q or one over
+its level cap loads farey, which reads it, and exact_core.  The check
+subcommands live in periodhecke.checks and follow the same rule.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ VERIFY_SIZE_CAP = 20000
 
 def _parse_rational(text):
     """--q as an extended rational whose level is within its cap."""
-    from .exact_core import ExtendedRational
+    from .farey import ExtendedRational, level
 
     q = ExtendedRational.from_string(text)
-    from .farey import level
-
     _capped(level(q), CHAIN_LEVEL_CAP, "the level max(|a|, b) of --q")
     return q
 
@@ -243,7 +241,7 @@ def _cmd_sigma(args):
 
 def _cmd_hecke_scalar(args):
     m = _capped(args.m, SCALAR_INDEX_CAP, "--m")
-    from .exact_core import h_tilde
+    from .formal import h_tilde
 
     total = h_tilde(m)
     return lambda: _json_formal_sum(total), lambda: _tsv_formal_sum(total), 0

@@ -1,10 +1,10 @@
 """The entry conditions of S_m and the assembly of the vector-valued
 Hecke operator matrix for Gamma0(n) from Merel's walk of S_m on the points
-of P^1(Z/nZ).  That walk and the scalar operator h_tilde live in
-exact_core, beside the integer Farey chains they are built on; h_tilde is
-bound here as well, so hecke.h_tilde names the same function.  The paper's
-bookkeeping over X_m (sigma_g, phi_A) and S_m by enumeration live in
-bookkeeping, which the assembly never reads.
+of P^1(Z/nZ).  That walk lives in exact_core, beside the integer Farey
+chains it is built on, and the scalar operator h_tilde in formal, which
+row_sum imports when it is called.  The paper's bookkeeping over X_m
+(sigma_g, phi_A) and S_m by enumeration live in bookkeeping, which the
+assembly never reads.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _EXPORTS
-from .exact_core import FormalSum, Frozen, IntMatrix2, _merel_keys, h_tilde
+from .exact_core import Frozen, IntMatrix2, _merel_keys
 
 __all__ = list(_EXPORTS["hecke"])
 
@@ -104,6 +104,8 @@ class HeckeOperatorMatrix(Frozen):
 
     def row_sum(self, j):
         """The formal sum obtained by forgetting the column bookkeeping."""
+        from .formal import FormalSum
+
         return FormalSum.from_matrices(mat for mat, image in self.columns if image[j] is not None)
 
     def to_json_obj(self):

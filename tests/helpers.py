@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: the shorthand rat, the Farey
 enumeration oracle, and random elements of Gamma0(n)."""
 
-from periodhecke.exact_core import INFINITY, MINUS_INFINITY, ZERO, ExtendedRational, IntMatrix2, xgcd
+from periodhecke.exact_core import IntMatrix2, xgcd
+from periodhecke.farey import INFINITY, MINUS_INFINITY, ZERO, ExtendedRational
 
 
 def rat(p, q=1):

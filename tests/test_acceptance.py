@@ -12,18 +12,10 @@ import pytest
 
 from periodhecke.bookkeeping import gen_sm, gen_xm, phi, sigma
 from periodhecke.congruence import coset_table, gamma0_contains, rho
-from periodhecke.exact_core import (
-    ExtendedRational,
-    FormalSum,
-    I,
-    IntMatrix2,
-    MINUS_INFINITY,
-    S,
-    T,
-    divisors,
-)
-from periodhecke.farey import farey_sequence, left_neighbor, level
-from periodhecke.hecke import h_tilde, vector_hecke
+from periodhecke.exact_core import I, IntMatrix2, S, T, divisors
+from periodhecke.farey import MINUS_INFINITY, ExtendedRational, farey_sequence, left_neighbor, level
+from periodhecke.formal import FormalSum, h_tilde
+from periodhecke.hecke import vector_hecke
 from periodhecke.numeric import (
     constant_lift,
     cusp_solution,

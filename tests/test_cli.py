@@ -11,10 +11,11 @@ from periodhecke import cli
 from periodhecke.cli import build_parser, main
 from periodhecke.congruence import gamma0_index
 from periodhecke.congruence import coset_table
-from periodhecke.exact_core import ExtendedRational, FormalSum, S, T, divisors
-from periodhecke.farey import m_of_q
+from periodhecke.exact_core import S, T, divisors
+from periodhecke.farey import ExtendedRational, m_of_q
+from periodhecke.formal import FormalSum, h_tilde
 from periodhecke.bookkeeping import gen_sm
-from periodhecke.hecke import h_tilde, vector_hecke
+from periodhecke.hecke import vector_hecke
 from periodhecke.numeric import eta_line_integral, laplace_fd
 
 from mutants import forbidden, rotated, unmapped
@@ -386,7 +387,7 @@ def layers(*names):
     return {"periodhecke", "periodhecke.cli"} | {"periodhecke." + name for name in names}
 
 
-EXACT_LAYERS = layers("exact_core", "farey", "congruence", "bookkeeping", "hecke")
+EXACT_LAYERS = layers("exact_core", "farey", "formal", "congruence", "bookkeeping", "hecke")
 CHECKS_LOAD = EXACT_LAYERS | layers("numeric", "verify", "checks")
 
 # What a fresh interpreter compiles for each subcommand: the layers that
@@ -397,21 +398,21 @@ LOADED = [
     ("from-import", "from periodhecke import cli", layers()),
     ("help", run_main(["--help"]), layers()),
     ("over-cap", run_main(["cosets", "--n", "401"], 2), layers()),
-    # Every value is read before a layer is imported: --q by exact_core's
-    # p/q reader, and its level by farey.
+    # Every value is read before a layer is imported: --q and its level by
+    # farey, which defines the rationals.
     ("malformed-word", run_main(["rho", "--n", "4", "--word", "TXT"], 2), layers()),
     ("malformed-second-matrix", run_main(["sigma", "--g", "1,0,0,1", "--A", "1,0,0"], 2), layers()),
-    ("malformed-q", run_main(["lns", "--q", "abc"], 2), layers("exact_core")),
-    ("decimal-q", run_main(["mq", "--q", "3.0/7"], 2), layers("exact_core")),
+    ("malformed-q", run_main(["lns", "--q", "abc"], 2), layers("exact_core", "farey")),
+    ("decimal-q", run_main(["mq", "--q", "3.0/7"], 2), layers("exact_core", "farey")),
     ("q-over-level-cap", run_main(["lns", "--q", "100001/1"], 2), layers("exact_core", "farey")),
     ("farey", run_main(["farey", "--n", "5"]), layers("exact_core", "farey")),
     ("lns", run_main(["lns", "--q", "5/13"]), layers("exact_core", "farey")),
-    ("mq", run_main(["mq", "--q", "5/13"]), layers("exact_core", "farey")),
+    ("mq", run_main(["mq", "--q", "5/13"]), layers("exact_core", "farey", "formal")),
     ("cosets", run_main(["cosets", "--n", "12"]), layers("exact_core", "congruence", "bookkeeping")),
     ("rho", run_main(["rho", "--n", "12", "--word", "TST'"]), layers("exact_core", "congruence")),
     ("sigma", run_main(["sigma", "--g", "0,-1,1,0", "--A", "1,0,0,2"]), layers("exact_core", "bookkeeping")),
     ("sm", run_main(["sm", "--m", "12"]), layers("exact_core", "bookkeeping")),
-    ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core")),
+    ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core", "formal")),
     ("hecke-vector", run_main(["hecke-vector", "--n", "6", "--m", "5"]), layers("exact_core", "congruence", "hecke")),
     ("check-three-term", run_main(["check-three-term", "--n", "2", "--m", "3"]), CHECKS_LOAD),
     ("check-laplace", run_main(["check-laplace"]), layers("exact_core", "congruence", "numeric", "checks")),

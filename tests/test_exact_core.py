@@ -2,21 +2,9 @@ import random
 
 import pytest
 
-from periodhecke.exact_core import (
-    ExtendedRational,
-    FormalSum,
-    IntMatrix2,
-    I,
-    INFINITY,
-    MINUS_INFINITY,
-    S,
-    T,
-    T_PRIME,
-    ZERO,
-    _farey_chain,
-    _farey_step,
-    xgcd,
-)
+from periodhecke.exact_core import IntMatrix2, I, S, T, T_PRIME, _farey_chain, _farey_step, xgcd
+from periodhecke.farey import INFINITY, MINUS_INFINITY, ZERO, ExtendedRational
+from periodhecke.formal import FormalSum
 from periodhecke.cli import _parse_matrix
 
 from helpers import rat
@@ -248,6 +236,11 @@ def test_formal_sum_merging_and_canonical_order():
         assert total.terms == reference.terms
     with pytest.raises(TypeError, match="must be IntMatrix2"):
         FormalSum([(1, "x")])
+    # A float coefficient would serialize as a float, which the command
+    # line's JSON writer prints as an integer.
+    for coeff in (0.5, 1.0):
+        with pytest.raises(TypeError, match=r"int coefficients, got \(%r, " % coeff):
+            FormalSum([(coeff, I)])
 
 
 def test_formal_sum_adds_and_subtracts_single_matrices():

@@ -2,16 +2,12 @@ import random
 
 import pytest
 
-from periodhecke.exact_core import (
-    ExtendedRational,
-    FormalSum,
-    I,
+from periodhecke.exact_core import I, IntMatrix2
+from periodhecke.farey import (
     INFINITY,
-    IntMatrix2,
     MINUS_INFINITY,
     ZERO,
-)
-from periodhecke.farey import (
+    ExtendedRational,
     farey_sequence,
     is_minimal_partition,
     left_neighbor,
@@ -19,6 +15,7 @@ from periodhecke.farey import (
     lns,
     m_of_q,
 )
+from periodhecke.formal import FormalSum
 
 from helpers import brute_force_farey, rat
 
@@ -262,7 +259,7 @@ def test_chains_build_no_farey_table(monkeypatch):
     # A chain creates at most one rational per step; the Farey table of
     # level L alone holds about 1.2 L^2 of them.
     from periodhecke import farey
-    from periodhecke.hecke import h_tilde
+    from periodhecke.formal import h_tilde
 
     made = []
 

@@ -12,8 +12,10 @@ from periodhecke.congruence import (
     gamma0_contains,
     rho,
 )
-from periodhecke.exact_core import ExtendedRational, FormalSum, I, IntMatrix2, S, T, T_PRIME, divisors
-from periodhecke.hecke import HeckeOperatorMatrix, h_tilde, in_sm, vector_hecke
+from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME, divisors
+from periodhecke.farey import ExtendedRational
+from periodhecke.formal import FormalSum, h_tilde
+from periodhecke.hecke import HeckeOperatorMatrix, in_sm, vector_hecke
 from periodhecke.verify import reference_columns
 
 import mutants
@@ -371,7 +373,7 @@ def test_h_tilde_equals_the_s_m_enumeration(ms):
 
 
 def test_h_tilde_builds_one_formal_sum(monkeypatch):
-    from periodhecke import exact_core
+    from periodhecke import formal
 
     built = []
 
@@ -382,17 +384,24 @@ def test_h_tilde_builds_one_formal_sum(monkeypatch):
             built.append(1)
             super().__init__(terms)
 
-    monkeypatch.setattr(exact_core, "FormalSum", Counting)
+    monkeypatch.setattr(formal, "FormalSum", Counting)
     assert h_tilde(30) == FormalSum.from_matrices(gen_sm(30))
     assert len(built) == 1
 
 
-def test_hecke_h_tilde_is_the_exact_core_function():
-    # perfbench/tracing.py spans the scalar operator under the name
-    # hecke.h_tilde and rebinds every module global that is that object.
-    from periodhecke import exact_core, hecke
+def test_h_tilde_has_one_home_that_verify_and_cli_call(capsys, monkeypatch):
+    # A span on the scalar operator rebinds every module global that is
+    # that object, so verify binds formal's function, hecke binds none,
+    # and hecke-scalar reads it from formal when it runs.
+    from periodhecke import cli, formal, hecke, verify
 
-    assert hecke.h_tilde is exact_core.h_tilde
+    assert verify.h_tilde is formal.h_tilde
+    assert not hasattr(hecke, "h_tilde")
+    real, calls = formal.h_tilde, []
+    monkeypatch.setattr(formal, "h_tilde", lambda m: calls.append(m) or real(m))
+    assert cli.main(["hecke-scalar", "--m", "3"]) == 0
+    capsys.readouterr()
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 11, 13, 4, 6, 9, 12])

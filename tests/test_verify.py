@@ -4,7 +4,9 @@ import pytest
 
 from periodhecke import bookkeeping, exact_core, verify
 from periodhecke.congruence import PermutationMatrix, coset_table, rho
-from periodhecke.exact_core import ExtendedRational, FormalSum, IntMatrix2
+from periodhecke.exact_core import IntMatrix2
+from periodhecke.farey import ExtendedRational
+from periodhecke.formal import FormalSum
 from periodhecke.hecke import vector_hecke
 from periodhecke.numeric import cusp_solution, hecke_image, three_term_residual
 from periodhecke.verify import residual_and_scale, run_all_checks, sample_points, three_term_tolerance
