@@ -2,18 +2,21 @@
 congruence subgroups Gamma0(n), plus the numeric checks that verify them.
 
 The package namespace is the table `_EXPORTS` below, the only list of
-the public names: each of the seven library modules sets its `__all__`
-from its own entry.  It is resolved lazily (PEP 562): importing the
-package loads no module, and a public name loads its home module on first
-access and is then cached here.  A submodule loads only what it imports
-at its top: cli and exact_core load nothing else, the other library
-modules exact_core (numeric congruence too), checks cli, and verify every
-library module.  A few functions load a module when they are called:
-IntMatrix2.moebius loads farey, and farey.m_of_q and
-HeckeOperatorMatrix.row_sum load formal.  So a coset-layer run compiles
-neither rationals nor formal sums, and a CLI run that never touches the
-numeric layer never compiles it.  Every number on the command line is
-read by `_plain_number` below, which loads no layer.
+the public names: each library module with public names sets its
+`__all__` from its own entry (representatives has none).  It is resolved
+lazily (PEP 562): importing the package loads no module, and a public name
+loads its home module on first access and is then cached here.  A
+submodule loads only what it imports at its top: cli and exact_core load
+nothing else, the other library modules exact_core (numeric permutation
+too), checks cli, and verify every library module but representatives.
+A few functions load a module when they are called: IntMatrix2.moebius
+loads farey, farey.m_of_q and HeckeOperatorMatrix.row_sum load formal,
+and CosetTable.reps loads representatives.  So a coset-layer run compiles
+neither rationals nor formal sums, cosets compiles no permutations,
+hecke-vector neither permutations nor the representatives' sweep, and a
+CLI run that never touches the numeric layer never compiles it.  Every
+number on the command line is read by `_plain_number` below, which loads
+no layer.
 """
 
 import importlib
@@ -29,9 +32,9 @@ _EXPORTS = {
     ),
     "formal": ("FormalSum", "h_tilde"),
     "congruence": (
-        "gamma0_contains", "gamma0_index", "CosetTable", "coset_table", "PermutationMatrix", "rho",
-        "coset_projection",
+        "gamma0_contains", "gamma0_index", "CosetTable", "coset_table", "coset_projection",
     ),
+    "permutation": ("PermutationMatrix", "rho"),
     "bookkeeping": (
         "gen_xm", "in_xm", "xm_representative", "sigma", "HeckeCosetRecord", "phi", "gen_sm",
     ),

@@ -224,7 +224,8 @@ def _cmd_cosets(args):
 
 def _cmd_rho(args):
     n, g = _capped(args.n, COSET_LEVEL_CAP), _parse_word(args.word)
-    from .congruence import coset_table, rho
+    from .congruence import coset_table
+    from .permutation import rho
 
     image = rho(coset_table(n), g).image
     return lambda: dumps(image), lambda: ["\t".join(map(str, image))], 0

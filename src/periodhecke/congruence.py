@@ -1,5 +1,5 @@
 """Gamma0(n) membership, canonical coset representatives of its right
-cosets in SL(2,Z), the induced permutation representation, and the
+cosets in SL(2,Z), the action of a matrix on them, and the
 level-projection map between coset index sets.
 
 The right cosets are the points (c : d) of P^1(Z/nZ).  A point's key is its
@@ -10,11 +10,12 @@ x*d mod n/g fix the point, and a table finds its coset from per-residue
 and per-divisor lists built once (Cremona, Algorithms for Modular
 Elliptic Curves, 2.2).  A canonical table numbers the cosets by their
 keys; the minimal-entry representatives are searched only when reps is
-read, by bookkeeping's sweep, which that read imports, so rho and the
-operator assembly never compile it.  The lookup works verbatim for
-determinant -1 matrices as well (Gamma0(n) and diag(1,-1) generate a
-group with the same coset structure), which the numeric layer needs for
-one transfer-equation word.
+read, by the sweep of representatives, which that read imports, so rho
+and the operator assembly never compile it.  The permutation
+representation rho, read from CosetTable.images, lives in permutation.
+The lookup works verbatim for determinant -1 matrices as well (Gamma0(n)
+and diag(1,-1) generate a group with the same coset structure), which the
+numeric layer needs for one transfer-equation word.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ class CosetTable(Frozen):
         """One determinant-1 matrix per coset, in index order: the explicit
         list, or for a canonical table the identity and then the minimal
         lift of each later coset, searched once on the first read by
-        bookkeeping._minimal_reps, which that read imports."""
+        representatives._minimal_reps, which that read imports."""
         if self._reps is None:
-            from .bookkeeping import _minimal_reps
+            from .representatives import _minimal_reps
 
             best = _minimal_reps(self)
             object.__setattr__(self, "_reps", (I,) + tuple(IntMatrix2(*best[j]) for j in range(1, self.mu)))
@@ -168,74 +169,6 @@ class CosetTable(Frozen):
 def coset_table(n):
     """The canonical (cached) coset table for level n."""
     return CosetTable(n)
-
-
-class PermutationMatrix(Frozen):
-    """A mu x mu permutation matrix stored by its image array: row i has
-    its single 1 in column image[i]."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image):
-        image = tuple(image)
-        if sorted(image) != list(range(len(image))):
-            raise ValueError("not a permutation of 0..%d" % (len(image) - 1))
-        object.__setattr__(self, "image", image)
-
-    @classmethod
-    def identity(cls, size):
-        return cls(range(size))
-
-    @property
-    def size(self):
-        return len(self.image)
-
-    def __matmul__(self, other):
-        """Matrix product self * other."""
-        if not isinstance(other, PermutationMatrix):
-            return NotImplemented
-        return PermutationMatrix(other.image[j] for j in self.image)
-
-    def apply(self, vector):
-        """Matrix-vector product: component i of the result is vector[image[i]]."""
-        if len(vector) != self.size:
-            raise ValueError("vector length %d != %d" % (len(vector), self.size))
-        return [vector[j] for j in self.image]
-
-    def inverse(self):
-        inv = [0] * self.size
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return PermutationMatrix(inv)
-
-    def rows(self):
-        return [[1 if k == j else 0 for k in range(self.size)] for j in self.image]
-
-    def __eq__(self, other):
-        if not isinstance(other, PermutationMatrix):
-            return NotImplemented
-        return self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def __repr__(self):
-        return "PermutationMatrix(%r)" % (list(self.image),)
-
-
-@lru_cache(maxsize=128)
-def rho(table, g):
-    """The induced permutation matrix with entry (i, j) = 1 iff
-    reps[i] * g * reps[j]^-1 lies in Gamma0(n), memoised per (table, g):
-    repeated calls return the same immutable matrix.
-
-    Satisfies rho(g') @ rho(g) == rho(g' * g).  Determinant -1 arguments are
-    accepted through the same lookup (see module docstring); row i is
-    read from CosetTable.images.
-    """
-    if g.det not in (1, -1):
-        raise ValueError("coset lookup needs determinant +-1, got %d" % g.det)
-    return PermutationMatrix(table.images(*g.key))
 
 
 def coset_projection(m, n):

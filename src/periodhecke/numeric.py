@@ -13,8 +13,8 @@ complex number; vector handles return a sequence of component values.
 from __future__ import annotations
 
 from . import _EXPORTS
-from .congruence import rho
 from .exact_core import IntMatrix2, S, T, T_PRIME
+from .permutation import rho
 
 __all__ = list(_EXPORTS["numeric"])
 

@@ -11,12 +11,13 @@ import math
 import random
 
 from .bookkeeping import gen_sm, gen_xm, in_xm, phi, sigma
-from .congruence import coset_table, rho
+from .congruence import coset_table
 from .exact_core import I, IntMatrix2, S, T, T_PRIME, xgcd
 from .farey import ExtendedRational, farey_sequence, left_neighbor, level, m_of_q
 from .formal import FormalSum, h_tilde
 from .hecke import vector_hecke
 from .numeric import _residual_and_terms, constant_lift, cusp_solution, hecke_image, transfer_residual
+from .permutation import rho
 
 __all__ = ["run_all_checks", "reference_columns", "residual_and_scale", "sample_points", "three_term_tolerance"]
 

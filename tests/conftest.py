@@ -1,6 +1,6 @@
 import pytest
 
-from periodhecke.congruence import rho
+from periodhecke.permutation import rho
 from periodhecke.hecke import vector_hecke
 
 

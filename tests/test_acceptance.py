@@ -11,7 +11,7 @@ import time
 import pytest
 
 from periodhecke.bookkeeping import gen_sm, gen_xm, phi, sigma
-from periodhecke.congruence import coset_table, gamma0_contains, rho
+from periodhecke.congruence import coset_table, gamma0_contains
 from periodhecke.exact_core import I, IntMatrix2, S, T, divisors
 from periodhecke.farey import MINUS_INFINITY, ExtendedRational, farey_sequence, left_neighbor, level
 from periodhecke.formal import FormalSum, h_tilde
@@ -26,6 +26,7 @@ from periodhecke.numeric import (
     three_term_residual,
     transfer_residual,
 )
+from periodhecke.permutation import rho
 from periodhecke.verify import _random_word, residual_and_scale
 
 from helpers import brute_force_farey, random_gamma0_element

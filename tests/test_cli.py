@@ -387,8 +387,13 @@ def layers(*names):
     return {"periodhecke", "periodhecke.cli"} | {"periodhecke." + name for name in names}
 
 
-EXACT_LAYERS = layers("exact_core", "farey", "formal", "congruence", "bookkeeping", "hecke")
+EXACT_LAYERS = layers(
+    "exact_core", "farey", "formal", "congruence", "permutation", "representatives", "bookkeeping", "hecke"
+)
 CHECKS_LOAD = EXACT_LAYERS | layers("numeric", "verify", "checks")
+# Only verify-all reads the representatives: check-three-term's operator
+# and residuals act on the table's points alone.
+THREE_TERM_LOAD = CHECKS_LOAD - {"periodhecke.representatives"}
 
 # What a fresh interpreter compiles for each subcommand: the layers that
 # its work runs, and none for an import, --help or a level or index over
@@ -408,15 +413,15 @@ LOADED = [
     ("farey", run_main(["farey", "--n", "5"]), layers("exact_core", "farey")),
     ("lns", run_main(["lns", "--q", "5/13"]), layers("exact_core", "farey")),
     ("mq", run_main(["mq", "--q", "5/13"]), layers("exact_core", "farey", "formal")),
-    ("cosets", run_main(["cosets", "--n", "12"]), layers("exact_core", "congruence", "bookkeeping")),
-    ("rho", run_main(["rho", "--n", "12", "--word", "TST'"]), layers("exact_core", "congruence")),
+    ("cosets", run_main(["cosets", "--n", "12"]), layers("exact_core", "congruence", "representatives")),
+    ("rho", run_main(["rho", "--n", "12", "--word", "TST'"]), layers("exact_core", "congruence", "permutation")),
     ("sigma", run_main(["sigma", "--g", "0,-1,1,0", "--A", "1,0,0,2"]), layers("exact_core", "bookkeeping")),
     ("sm", run_main(["sm", "--m", "12"]), layers("exact_core", "bookkeeping")),
     ("hecke-scalar", run_main(["hecke-scalar", "--m", "6"]), layers("exact_core", "formal")),
     ("hecke-vector", run_main(["hecke-vector", "--n", "6", "--m", "5"]), layers("exact_core", "congruence", "hecke")),
-    ("check-three-term", run_main(["check-three-term", "--n", "2", "--m", "3"]), CHECKS_LOAD),
-    ("check-laplace", run_main(["check-laplace"]), layers("exact_core", "congruence", "numeric", "checks")),
-    ("check-eta-loop", run_main(["check-eta-loop"]), layers("exact_core", "congruence", "numeric", "checks")),
+    ("check-three-term", run_main(["check-three-term", "--n", "2", "--m", "3"]), THREE_TERM_LOAD),
+    ("check-laplace", run_main(["check-laplace"]), layers("exact_core", "permutation", "numeric", "checks")),
+    ("check-eta-loop", run_main(["check-eta-loop"]), layers("exact_core", "permutation", "numeric", "checks")),
     ("verify-all", run_main(["verify-all", "--n", "1", "--m", "2"]), CHECKS_LOAD),
     ("verify-all-over-level-cap", run_main(["verify-all", "--n", "401", "--m", "2"], 2), layers("checks")),
     ("check-three-term-over-index-cap", run_main(["check-three-term", "--n", "2", "--m", "121"], 2), layers("checks")),
@@ -431,7 +436,7 @@ LOADED = [
 
 
 EXACT_RUNS = [row for row in LOADED if row[2] <= EXACT_LAYERS]
-CHECK_RUNS = [row for row in LOADED if row[2] == CHECKS_LOAD]
+CHECK_RUNS = [row for row in LOADED if row[2] in (CHECKS_LOAD, THREE_TERM_LOAD)]
 OTHER_CHECK_RUNS = [row for row in LOADED if row not in EXACT_RUNS + CHECK_RUNS]
 
 

@@ -3,20 +3,12 @@ import random
 
 import pytest
 
-from periodhecke import bookkeeping
-from periodhecke.bookkeeping import _minimal_reps
-from periodhecke.congruence import (
-    CosetTable,
-    PermutationMatrix,
-    _p1_keys,
-    coset_projection,
-    coset_table,
-    gamma0_contains,
-    gamma0_index,
-    rho,
-)
+from periodhecke import representatives
+from periodhecke.congruence import CosetTable, _p1_keys, coset_projection, coset_table, gamma0_contains, gamma0_index
 from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME, xgcd
 from periodhecke.hecke import vector_hecke
+from periodhecke.permutation import PermutationMatrix, rho
+from periodhecke.representatives import _minimal_reps
 from periodhecke.verify import _random_word
 
 from helpers import random_gamma0_element
@@ -180,7 +172,7 @@ def test_rho_and_vector_hecke_never_build_the_representatives(monkeypatch):
     def no_search(table):
         raise AssertionError("the representatives of level %d were searched" % table.n)
 
-    monkeypatch.setattr(bookkeeping, "_minimal_reps", no_search)
+    monkeypatch.setattr(representatives, "_minimal_reps", no_search)
     for n, m in cases:
         table = CosetTable(n)
         assert [rho(table, g) for g in words] == expected[n, m][0], n

@@ -6,9 +6,9 @@ import types
 from pathlib import Path
 
 import periodhecke
-from periodhecke import bookkeeping, congruence, exact_core, farey, formal, hecke, numeric
+from periodhecke import bookkeeping, congruence, exact_core, farey, formal, hecke, numeric, permutation, representatives
 
-LIBRARY_MODULES = [exact_core, farey, formal, congruence, bookkeeping, hecke, numeric]
+LIBRARY_MODULES = [exact_core, farey, formal, congruence, permutation, representatives, bookkeeping, hecke, numeric]
 
 
 def public_package_names():
@@ -64,8 +64,8 @@ def test_a_star_import_binds_every_module_export():
     # In a fresh interpreter, where no module of the package is loaded yet.
     script = """
 from periodhecke import *
-from periodhecke import bookkeeping, congruence, exact_core, farey, formal, hecke, numeric
-modules = [exact_core, farey, formal, congruence, bookkeeping, hecke, numeric]
+from periodhecke import bookkeeping, congruence, exact_core, farey, formal, hecke, numeric, permutation, representatives
+modules = [exact_core, farey, formal, congruence, permutation, representatives, bookkeeping, hecke, numeric]
 missing = [n for m in modules for n in m.__all__ if globals().get(n) is not getattr(m, n)]
 assert missing == [], missing
 """

@@ -4,18 +4,12 @@ import random
 import pytest
 
 from periodhecke.bookkeeping import gen_sm, gen_xm, in_xm, phi, sigma, xm_representative
-from periodhecke.congruence import (
-    CosetTable,
-    PermutationMatrix,
-    coset_projection,
-    coset_table,
-    gamma0_contains,
-    rho,
-)
+from periodhecke.congruence import CosetTable, coset_projection, coset_table, gamma0_contains
 from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME, divisors
 from periodhecke.farey import ExtendedRational
 from periodhecke.formal import FormalSum, h_tilde
 from periodhecke.hecke import HeckeOperatorMatrix, in_sm, vector_hecke
+from periodhecke.permutation import PermutationMatrix, rho
 from periodhecke.verify import reference_columns
 
 import mutants

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from periodhecke.congruence import coset_table, rho
+from periodhecke.congruence import coset_table
 from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME
 from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
 from periodhecke.numeric import (
@@ -19,6 +19,7 @@ from periodhecke.numeric import (
     three_term_residual,
     transfer_residual,
 )
+from periodhecke.permutation import rho
 from periodhecke.verify import _random_word, sample_points
 
 from mutants import mutated

@@ -2,13 +2,14 @@ import math
 
 import pytest
 
-from periodhecke import bookkeeping, exact_core, verify
-from periodhecke.congruence import PermutationMatrix, coset_table, rho
+from periodhecke import bookkeeping, exact_core, representatives, verify
+from periodhecke.congruence import coset_table
 from periodhecke.exact_core import IntMatrix2
 from periodhecke.farey import ExtendedRational
 from periodhecke.formal import FormalSum
 from periodhecke.hecke import vector_hecke
 from periodhecke.numeric import cusp_solution, hecke_image, three_term_residual
+from periodhecke.permutation import PermutationMatrix, rho
 from periodhecke.verify import residual_and_scale, run_all_checks, sample_points, three_term_tolerance
 
 from mutants import first_dropped, rotated, row_zero_unreached, swapped_last_rows, transposed
@@ -223,7 +224,7 @@ def test_a_nan_at_a_later_point_exits_check_three_term_with_two(capsys, monkeypa
 def test_a_divisor_helper_that_drops_m_fails_xm_size(monkeypatch, fresh_caches):
     # The helper is wrong wherever it is bound, as a bug in it would be.
     real = exact_core.divisors
-    for module in (exact_core, bookkeeping, verify):
+    for module in (exact_core, representatives, bookkeeping, verify):
         if hasattr(module, "divisors"):
             monkeypatch.setattr(module, "divisors", lambda m: real(m)[:-1])
     assert "xm-size" in failed(run_all_checks(1, 6))
