@@ -42,6 +42,8 @@ class PermutationMatrix(Frozen):
         """Matrix product self * other."""
         if not isinstance(other, PermutationMatrix):
             return NotImplemented
+        if other.size != self.size:
+            raise ValueError("permutation sizes %d and %d differ" % (self.size, other.size))
         return PermutationMatrix(other.image[j] for j in self.image)
 
     def apply(self, vector):

@@ -476,6 +476,12 @@ def test_permutation_matrix_api():
     for vector in (["a", "b"], ["a", "b", "c", "d"]):
         with pytest.raises(ValueError, match="vector length %d != 3" % len(vector)):
             p.apply(vector)
+    # A product of permutations of different sizes, in either order.
+    small = PermutationMatrix([1, 0])
+    with pytest.raises(ValueError, match="sizes 2 and 3 differ"):
+        small @ p
+    with pytest.raises(ValueError, match="sizes 3 and 2 differ"):
+        p @ small
 
 
 def test_rho_accepts_determinant_minus_one():
