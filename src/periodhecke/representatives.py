@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .exact_core import divisors, xgcd
+from .exact_core import divisors
 
 # No public name: CosetTable.reps is the sweep's interface.
 __all__ = []
@@ -62,7 +62,8 @@ def _minimal_reps(table):
             if coset in best:
                 continue
             # a*d - b*c = 1 with (a, b) = (x + t*c, y + t*d).
-            _, x, y = xgcd(d, -c)
+            x = pow(d, -1, c) if c else d
+            y = (x * d - 1) // c if c else 0
             pivot = -x // c if abs(c) == bound else -y // d
             for t in range(pivot - 1, pivot + 2):
                 a, b = x + t * c, y + t * d
