@@ -4,6 +4,7 @@ import random
 import pytest
 
 from periodhecke import representatives
+from periodhecke.cli import COSET_LEVEL_CAP
 from periodhecke.congruence import CosetTable, _p1_keys, coset_projection, coset_table, gamma0_contains, gamma0_index
 from periodhecke.exact_core import I, IntMatrix2, S, T, T_PRIME, xgcd
 from periodhecke.hecke import vector_hecke
@@ -101,7 +102,9 @@ BENCHMARK_LEVELS = [93, 110, 166, 201, 232, 244, 247, 250, 268]
 
 
 def test_canonical_reps_match_the_per_coset_search_oracle():
-    for k in list(range(1, 101)) + BENCHMARK_LEVELS:
+    # Up to the largest level the command line admits, where the sweep
+    # runs shells up to 200.
+    for k in list(range(1, 101)) + BENCHMARK_LEVELS + [COSET_LEVEL_CAP]:
         assert coset_table(k).reps == oracle_reps(k), k
 
 
