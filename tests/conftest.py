@@ -1,7 +1,7 @@
 import pytest
 
-from periodhecke.permutation import rho
 from periodhecke.hecke import vector_hecke
+from periodhecke.permutation import rho
 
 
 @pytest.fixture
