@@ -149,20 +149,28 @@ def _json_formal_sum(total):
 
 
 def _json_operator(op):
-    """The JSON text of op.to_json_obj(): each B's term is written once,
-    and only the cells that terms land in are joined from their terms;
-    every other cell stays the text []."""
-    cells = {}
+    """The JSON text of op.to_json_obj(), written row by row: each B's term
+    is written once and filed under its column in the dict of each row it
+    reaches.  Each row's dict is then replaced by the row's text, its cells
+    in ascending column order with the text [] for every cell no term lands
+    in, and the rows are joined once, the keys around the entries written
+    onto the first and last row, so no mu x mu structure and no second copy
+    of the text is made."""
+    rows = [{} for _ in range(op.mu)]
     for mat, image in op.columns:
         term = _JSON_TERM % ((1,) + mat.key)
         for j, i in enumerate(image):
             if i is not None:
-                cells.setdefault((j, i), []).append(term)
-    rows = [["[]"] * op.mu for _ in range(op.mu)]
-    for (j, i), terms in cells.items():
-        rows[j][i] = "[%s]" % ",".join(terms)
-    entries = ",".join("[%s]" % ",".join(row) for row in rows)
-    return '{"entries":[%s],"m":%d,"mu":%d,"n":%d}' % (entries, op.m, op.mu, op.n)
+                rows[j].setdefault(i, []).append(term)
+    for j, cells in enumerate(rows):
+        parts, end = [], 0
+        for i in sorted(cells):
+            parts.append("[]," * (i - end) + "[%s]" % ",".join(cells[i]))
+            end = i + 1
+        rows[j] = "[%s]" % ",".join(parts + ["[]"] * (op.mu - end))
+    rows[0] = '{"entries":[' + rows[0]
+    rows[-1] += '],"m":%d,"mu":%d,"n":%d}' % (op.m, op.mu, op.n)
+    return ",".join(rows)
 
 
 def _tsv_formal_sum(total):

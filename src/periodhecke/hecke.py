@@ -47,6 +47,8 @@ class HeckeOperatorMatrix(Frozen):
             # row j twice raises ArithmeticError.
             maps = {}
             for j, row in enumerate(columns):
+                if len(row) != len(columns):
+                    raise ValueError("row %d has %d cells, not %d" % (j, len(row), len(columns)))
                 for i, cell in enumerate(row):
                     for mat in cell:
                         if not isinstance(mat, IntMatrix2):

@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -11,11 +12,11 @@ from periodhecke import cli
 from periodhecke.cli import build_parser, main
 from periodhecke.congruence import gamma0_index
 from periodhecke.congruence import coset_table
-from periodhecke.exact_core import S, T, divisors
+from periodhecke.exact_core import IntMatrix2, S, T, divisors
 from periodhecke.farey import ExtendedRational, m_of_q
 from periodhecke.formal import FormalSum, h_tilde
 from periodhecke.bookkeeping import gen_sm
-from periodhecke.hecke import vector_hecke
+from periodhecke.hecke import HeckeOperatorMatrix, vector_hecke
 from periodhecke.numeric import eta_line_integral, laplace_fd
 
 from mutants import forbidden, rotated, unmapped
@@ -71,11 +72,51 @@ def dumps(obj):
 
 
 # mu = 1 (n = 1), the identity (m = 1), m | n (None in the column maps and
-# rows with empty cells), composite m and coprime levels.
-@pytest.mark.parametrize("n,m", [(1, 1), (1, 7), (3, 1), (2, 3), (4, 2), (12, 6), (13, 13), (6, 4), (30, 7), (93, 2)])
+# rows with empty cells), composite m, coprime levels, and mu = 216 and 272.
+@pytest.mark.parametrize(
+    "n,m", [(1, 1), (1, 7), (3, 1), (2, 3), (4, 2), (12, 6), (13, 13), (6, 4), (30, 7), (93, 2), (110, 3), (201, 3)]
+)
 def test_the_operator_json_text_is_what_json_dumps_writes(n, m):
     op = vector_hecke(coset_table(n), m)
-    assert cli._json_operator(op) == dumps(op.to_json_obj())
+    assert_same_json_text(cli._json_operator(op), dumps(op.to_json_obj()))
+
+
+def assert_same_json_text(text, expected):
+    # Compared as the pieces between the "],[" that separate cells, so that
+    # a failure names the first piece that differs; pytest would diff two
+    # long lines for minutes.
+    assert text.split("],[") == expected.split("],[")
+
+
+def test_the_operator_json_text_writes_unreached_rows_and_shared_cells():
+    # Rows 1 and 3 are reached by no B, row 0 ends in a run of two empty
+    # cells, cell (0, 1) holds two terms and row 2 has an empty cell before
+    # its first term and one between its two terms.
+    op = HeckeOperatorMatrix(
+        5,
+        2,
+        [
+            (IntMatrix2(1, 0, 0, 2), (1, None, 1, None)),
+            (IntMatrix2(1, 1, 0, 2), (1, None, 3, None)),
+            (IntMatrix2(2, 0, 0, 1), (0, None, None, None)),
+        ],
+    )
+    entries = op.to_json_obj()["entries"]
+    assert entries[1] == entries[3] == [()] * 4 and len(entries[0][1]) == 2
+    assert_same_json_text(cli._json_operator(op), dumps(op.to_json_obj()))
+
+
+def test_the_operator_json_writer_holds_about_two_copies_of_its_text():
+    # The text built whole and once more as its rows; a mu x mu grid of
+    # cells, or a second copy of the text, takes it above 3.5.
+    op = vector_hecke(coset_table(201), 3)
+    tracemalloc.start()
+    try:
+        text = cli._json_operator(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(text), peak / len(text)
 
 
 def test_the_formal_sum_json_text_is_what_json_dumps_writes():

@@ -318,6 +318,13 @@ def test_hecke_operator_matrix_rejects_bad_column_maps():
         HeckeOperatorMatrix(1, 2, [(IntMatrix2(1, 0, 0, 2), (0,)), ((2, 0, 0, 1), (0,))])
     with pytest.raises(TypeError, match=r"IntMatrix2, got cell \(0, 0\) = \(1, 0, 0, 2\)"):
         HeckeOperatorMatrix(1, 2, [((1, 0, 0, 2), (0,)), (IntMatrix2(2, 0, 0, 1), (0,))])
+    # Dense cells that are not mu x mu: a short row, and a short row
+    # followed by a long one.
+    B = IntMatrix2(2, 0, 0, 1)
+    with pytest.raises(ValueError, match="row 1 has 1 cells, not 2"):
+        HeckeOperatorMatrix(2, 2, [[[B], ()], [()]])
+    with pytest.raises(ValueError, match="row 0 has 1 cells, not 2"):
+        HeckeOperatorMatrix(2, 2, [[[B]], [(), [B], ()]])
 
 
 @pytest.mark.parametrize(
